@@ -7,6 +7,8 @@ build:
 	$(GO) build ./...
 
 # Formatting gate plus vet: fails listing any file gofmt would rewrite.
+# Vet runs asmdecl over the amd64 assembly; the arm64 vet and build keep
+# the portable file set (the scalar kernels without assembly) compiling.
 # Then the import-boundary gate: the pipeline consumers (mlpct, campaign,
 # razzer, snowboard) must resolve execution through the explore registry —
 # no direct internal/sim import and no direct ski.Execute* call outside
@@ -20,6 +22,8 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' \
 		./internal/mlpct ./internal/campaign ./internal/razzer ./internal/snowboard \
 		| grep 'snowcat/internal/sim' || true); \
@@ -50,7 +54,7 @@ test: lint
 	$(GO) test -race ./internal/serve ./internal/fleet
 	$(GO) test -race -run 'TestTokenCacheConcurrentReaders|TestBaseContextConcurrentPredict' ./internal/pic
 	$(GO) test -race -run 'TestCompiledMatchesInterpreter|TestCompiledChaosParity' ./internal/ski
-	$(GO) test -race -run 'TestQuant|TestQGCN|TestFused|TestInferStacked' ./internal/nn ./internal/pic ./internal/tensor
+	$(GO) test -race -run 'TestFused|TestInferStacked' ./internal/nn ./internal/pic
 	$(GO) test -race ./internal/stream ./internal/trainer
 
 test-race:
@@ -82,10 +86,10 @@ bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkCampaign|BenchmarkPredictBatch|BenchmarkSweep' -benchtime 3x .
 
 # Inference + executor hot-path benchmarks; snapshots the numbers to
-# BENCH_predict.json. Covers the float base path, the opt-in quantized
-# path, the fused sweep, and both executors (interpreter vs compiled).
+# BENCH_predict.json. Covers the base path, the fused sweep, and both
+# executors (interpreter vs compiled).
 bench-predict:
-	$(GO) test -run xxx -bench 'BenchmarkPredictOne$$|BenchmarkPredictOneBase$$|BenchmarkPredictOneQuant$$|BenchmarkScheduleSweep$$|BenchmarkScheduleSweepBase$$|BenchmarkScheduleSweepFused$$|BenchmarkExecuteInterp$$|BenchmarkExecuteCompiled$$' \
+	$(GO) test -run xxx -bench 'BenchmarkPredictOne$$|BenchmarkPredictOneBase$$|BenchmarkScheduleSweep$$|BenchmarkScheduleSweepBase$$|BenchmarkScheduleSweepFused$$|BenchmarkExecuteInterp$$|BenchmarkExecuteCompiled$$' \
 		-benchmem -benchtime 2s . | tee bench_predict.out
 	awk 'BEGIN { print "[" } \
 		/^Benchmark/ { name=$$1; sub(/-[0-9]+$$/, "", name); \

@@ -157,25 +157,6 @@ func BenchmarkScheduleSweepFused(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictOneQuant is BenchmarkPredictOneBase under opt-in int8
-// weights — same walk, 8× smaller GCN weight memory, lossy by design.
-func BenchmarkPredictOneQuant(b *testing.B) {
-	f := getPredFixture()
-	base := f.builder.BuildBase(f.cti, f.pa, f.pb)
-	bc := f.m.NewBaseContext(base, f.tc)
-	g := base.WithSchedule(f.scheds[0])
-	s := pic.NewScratch()
-	f.m.SetQuantized(true)
-	defer f.m.SetQuantized(false) // fixture is shared: restore the float path
-	dst := f.m.PredictInto(nil, g, f.tc, s, bc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = f.m.PredictInto(dst, g, f.tc, s, bc)
-	}
-	_ = dst
-}
-
 // BenchmarkExecuteInterp is one full concurrent execution of the fixture
 // CTI through the reference interpreter, cycling the candidate schedules.
 func BenchmarkExecuteInterp(b *testing.B) {

@@ -30,13 +30,6 @@ func parallelFlag(fs *flag.FlagSet) *int {
 	return fs.Int("parallel", runtime.NumCPU(), "worker count for parallel phases (results are identical at any count)")
 }
 
-// quantizedFlag registers the shared -quantized flag: opt-in int8 GCN
-// weights for scoring (8x smaller weight memory, lossy by design). The
-// float path stays the default and is bit-identical to older builds.
-func quantizedFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("quantized", false, "score with int8-quantized GCN weights (lossy; the float path is the default)")
-}
-
 // executorFlags bundles the shared -executor / -executor-urls pair: the
 // execution backend is resolved by name through the explore registry, so
 // every subcommand accepts exactly the set of backends this build links
@@ -318,7 +311,6 @@ func cmdEval(args []string) error {
 	ctis := fs.Int("ctis", 25, "evaluation CTIs")
 	inter := fs.Int("interleavings", 8, "interleavings per CTI")
 	par := parallelFlag(fs)
-	quant := quantizedFlag(fs)
 	exf := newExecutorFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -334,7 +326,6 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	m.SetQuantized(*quant)
 	tc := pic.NewTokenCache(k, m.Vocab)
 	col := dataset.NewCollector(k, *seed+20)
 	// The evaluation set's labelling executions run through the selected
@@ -382,7 +373,6 @@ func cmdCampaign(args []string) error {
 	progress := fs.Bool("progress", false, "print pipeline progress from the explore hooks")
 	every := fs.Int("progress-every", 100, "executions between -progress lines")
 	ef := newExploreFlags(fs)
-	quant := quantizedFlag(fs)
 	exf := newExecutorFlags(fs)
 	strat := strategyFlag(fs, "s1", "MLPCT selection strategy spec")
 	if err := fs.Parse(args); err != nil {
@@ -407,7 +397,6 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	m.SetQuantized(*quant)
 	tc := pic.NewTokenCache(k, m.Vocab)
 
 	// The progress observer rides the pipeline's explore.Hooks: executed

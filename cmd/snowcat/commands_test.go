@@ -28,7 +28,6 @@ func TestSharedFlagSets(t *testing.T) {
 	parallel := []string{"-parallel", "2"}
 	chaos := []string{"-fault-rate", "0.1", "-fault-seed", "3", "-retries", "2"}
 	serving := []string{"-max-batch", "8", "-wait-ms", "1", "-queue", "16", "-deadline-ms", "100", "-cache", "8"}
-	quantized := []string{"-quantized"}
 	cases := []struct {
 		name   string
 		cmd    func([]string) error
@@ -36,13 +35,13 @@ func TestSharedFlagSets(t *testing.T) {
 	}{
 		{"collect", cmdCollect, [][]string{parallel}},
 		{"train", cmdTrain, [][]string{parallel}},
-		{"eval", cmdEval, [][]string{parallel, quantized}},
-		{"campaign", cmdCampaign, [][]string{parallel, chaos, quantized}},
+		{"eval", cmdEval, [][]string{parallel}},
+		{"campaign", cmdCampaign, [][]string{parallel, chaos}},
 		{"razzer", cmdRazzer, [][]string{parallel, chaos}},
 		{"snowboard", cmdSnowboard, [][]string{parallel, chaos}},
-		{"serve", cmdServe, [][]string{parallel, serving, quantized}},
-		{"loadgen", cmdLoadgen, [][]string{parallel, serving, quantized}},
-		{"fleet", cmdFleet, [][]string{quantized}},
+		{"serve", cmdServe, [][]string{parallel, serving}},
+		{"loadgen", cmdLoadgen, [][]string{parallel, serving}},
+		{"fleet", cmdFleet, nil},
 		{"learn", cmdLearn, [][]string{parallel, chaos}},
 		{"amplify", cmdAmplify, [][]string{parallel}},
 	}

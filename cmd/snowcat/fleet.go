@@ -39,7 +39,6 @@ func cmdFleet(args []string) error {
 	maxBatch := fs.Int("max-batch", 32, "per-shard max coalesced batch size")
 	waitMS := fs.Float64("wait-ms", 2, "per-shard max batch hold in milliseconds")
 	kill := fs.Int("kill", -1, "shard to kill a third of the way in and restart at two thirds (-1 = no chaos)")
-	quant := quantizedFlag(fs)
 	exf := newExecutorFlags(fs)
 	strat := strategyFlag(fs, "s1", "selection strategy spec (validated against the registry; the loadgen issues prediction traffic only)")
 	if err := fs.Parse(args); err != nil {
@@ -69,7 +68,6 @@ func cmdFleet(args []string) error {
 	if err != nil {
 		return err
 	}
-	m.SetQuantized(*quant)
 	f, err := fleet.New(k, m, pic.NewTokenCache(k, m.Vocab), fleet.Config{
 		Shards:      *shards,
 		StationSize: *station,

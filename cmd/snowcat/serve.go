@@ -56,7 +56,7 @@ func serveModel(k *kernel.Kernel, path string, seed uint64) (*pic.Model, error) 
 }
 
 // newServerFromFlags assembles kernel, model, registry, and server.
-func newServerFromFlags(seed uint64, size, model string, quantized bool, mkConfig func() serve.Config) (*serve.Server, *kernel.Kernel, error) {
+func newServerFromFlags(seed uint64, size, model string, mkConfig func() serve.Config) (*serve.Server, *kernel.Kernel, error) {
 	k, _, err := kernelFromFlags(seed, size)
 	if err != nil {
 		return nil, nil, err
@@ -65,7 +65,6 @@ func newServerFromFlags(seed uint64, size, model string, quantized bool, mkConfi
 	if err != nil {
 		return nil, nil, err
 	}
-	m.SetQuantized(quantized)
 	reg := serve.NewRegistry()
 	if err := reg.Load("v1", m, pic.NewTokenCache(k, m.Vocab)); err != nil {
 		return nil, nil, err
@@ -83,11 +82,10 @@ func cmdServe(args []string) error {
 	model := fs.String("model", "", "model file to serve (empty serves an untrained model)")
 	duration := fs.Duration("duration", 0, "stop after this long (0 = run until interrupted)")
 	mkConfig := serveFlags(fs)
-	quant := quantizedFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s, k, err := newServerFromFlags(*seed, *size, *model, *quant, mkConfig)
+	s, k, err := newServerFromFlags(*seed, *size, *model, mkConfig)
 	if err != nil {
 		return err
 	}
@@ -139,7 +137,6 @@ func cmdLoadgen(args []string) error {
 	batch := fs.Int("batch", 8, "graphs per request")
 	rate := fs.Float64("rate", 0, "offered requests/sec for open-loop Poisson arrivals (0 = closed-loop blast)")
 	mkConfig := serveFlags(fs)
-	quant := quantizedFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -156,7 +153,7 @@ func cmdLoadgen(args []string) error {
 	var inproc *serve.Server
 	base := *addr
 	if base == "" {
-		s, _, err := newServerFromFlags(*seed, *size, *model, *quant, mkConfig)
+		s, _, err := newServerFromFlags(*seed, *size, *model, mkConfig)
 		if err != nil {
 			return err
 		}

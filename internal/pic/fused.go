@@ -28,17 +28,6 @@ import (
 // granularity.
 const FuseBlock = 8
 
-// fusable reports whether g can join a stacked pass over bc: it must be
-// derived from bc's Base with the base vertex set unchanged (IRQ schedules
-// append handler vertices and IRQ edges, which the static CSR does not
-// cover) and carry no edge populations beyond the base ones plus hints.
-func fusable(g *ctgraph.Graph, bc *BaseContext) bool {
-	return bc != nil && bc.rg != nil &&
-		g.DerivedFrom(bc.base) &&
-		len(g.Vertices) == bc.base.NumVertices() &&
-		len(g.Sched.IRQs) == 0
-}
-
 // hintRelGraphInto builds g's delta adjacency: only the scheduling-hint
 // edges, in their g.Edges order, under the same forward/reverse relation
 // indices relGraphInto assigns. Every other relation stays empty — the
@@ -108,10 +97,9 @@ func (m *Model) predictStacked(out [][]float64, gs []*ctgraph.Graph, tc *TokenCa
 // FuseBlock schedules each, everything else falls back to the per-graph
 // path. The result is index-aligned with gs and bit-identical to
 // PredictAllCtx (and therefore to per-graph Predict) for every mix of
-// fusable and non-fusable graphs. Quantized models (SetQuantized) score
-// per-graph — the int8 stack has no stacked walk — as does a nil bc.
+// fusable and non-fusable graphs. A nil bc scores per-graph.
 func (m *Model) PredictAllFused(gs []*ctgraph.Graph, tc *TokenCache, workers int, bc *BaseContext) [][]float64 {
-	if m.qgcn != nil || bc == nil || bc.rg == nil {
+	if bc == nil || bc.rg == nil {
 		return m.PredictAllCtx(gs, tc, workers, bc)
 	}
 
@@ -122,16 +110,16 @@ func (m *Model) PredictAllFused(gs []*ctgraph.Graph, tc *TokenCache, workers int
 	}
 	var items []span
 	for i := 0; i < len(gs); {
-		if fusable(gs[i], bc) {
+		if m.Fusable(gs[i], bc) {
 			hi := i + 1
-			for hi < len(gs) && hi-i < FuseBlock && fusable(gs[hi], bc) {
+			for hi < len(gs) && hi-i < FuseBlock && m.Fusable(gs[hi], bc) {
 				hi++
 			}
 			items = append(items, span{lo: i, hi: hi, fused: true})
 			i = hi
 		} else {
 			hi := i + 1
-			for hi < len(gs) && !fusable(gs[hi], bc) {
+			for hi < len(gs) && !m.Fusable(gs[hi], bc) {
 				hi++
 			}
 			items = append(items, span{lo: i, hi: hi})
@@ -164,13 +152,17 @@ func (m *Model) PredictAllFused(gs []*ctgraph.Graph, tc *TokenCache, workers int
 	return out
 }
 
-// Fusable reports whether g can be scored through a stacked pass over bc
-// on this model. False whenever quantized inference is enabled — the int8
-// stack has no stacked walk — or g is not a plain (IRQ-free, base-shaped)
-// derivation of bc's Base. External batchers use this to group graphs
-// before calling PredictFusedBlock.
+// Fusable reports whether g can be scored through a stacked pass over bc:
+// it must be derived from bc's Base with the base vertex set unchanged
+// (IRQ schedules append handler vertices and IRQ edges, which the static
+// CSR does not cover) and carry no edge populations beyond the base ones
+// plus hints. External batchers use this to group graphs before calling
+// PredictFusedBlock.
 func (m *Model) Fusable(g *ctgraph.Graph, bc *BaseContext) bool {
-	return m.qgcn == nil && fusable(g, bc)
+	return bc != nil && bc.rg != nil &&
+		g.DerivedFrom(bc.base) &&
+		len(g.Vertices) == bc.base.NumVertices() &&
+		len(g.Sched.IRQs) == 0
 }
 
 // PredictFusedBlock scores gs — every one of which must satisfy

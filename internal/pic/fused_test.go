@@ -1,7 +1,6 @@
 package pic
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -34,7 +33,7 @@ func TestFusedMatchesLoop(t *testing.T) {
 	}
 	sawFused, sawFallback := false, false
 	for _, g := range graphs {
-		if fusable(g, bc) {
+		if m.Fusable(g, bc) {
 			sawFused = true
 		} else {
 			sawFallback = true
@@ -87,67 +86,5 @@ func TestFusedScratchReuse(t *testing.T) {
 		if !reflect.DeepEqual(out[i], want[i]) {
 			t.Fatalf("graph %d diverged after scratch reuse", i)
 		}
-	}
-}
-
-// TestQuantizedMatchesFloat pins the opt-in int8 mode end to end on a
-// fixture corpus: quantized probabilities must stay within a small absolute
-// error of the float path and rank the same top vertex (argmax), and
-// switching the mode off must restore bit-identical float output.
-func TestQuantizedMatchesFloat(t *testing.T) {
-	k := kernel.Generate(kernel.SmallConfig(321))
-	m := New(tinyCfg(322))
-	tc := NewTokenCache(k, m.Vocab)
-	f := newCTIFixture(t, k, 323, 8)
-
-	argmax := func(p []float64) int {
-		best := 0
-		for i, v := range p {
-			if v > p[best] {
-				best = i
-			}
-		}
-		return best
-	}
-
-	var maxErr float64
-	for i, sched := range f.scheds {
-		g := f.base.WithSchedule(sched)
-		want := m.Predict(g, tc)
-
-		m.SetQuantized(true)
-		if !m.Quantized() {
-			t.Fatal("SetQuantized(true) did not enable quantized mode")
-		}
-		got := m.Predict(g, tc)
-		m.SetQuantized(false)
-
-		if len(got) != len(want) {
-			t.Fatalf("schedule %d: quantized length %d, float %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if err := math.Abs(got[j] - want[j]); err > maxErr {
-				maxErr = err
-			}
-		}
-		if len(want) > 0 && argmax(got) != argmax(want) {
-			t.Fatalf("schedule %d: quantized argmax %d, float %d", i, argmax(got), argmax(want))
-		}
-
-		back := m.Predict(g, tc)
-		if !reflect.DeepEqual(back, want) {
-			t.Fatalf("schedule %d: float path not bit-identical after SetQuantized round trip", i)
-		}
-	}
-	// The int8 grid perturbs each weight by at most scale/2; through a
-	// 2-layer Dim-12 stack and a sigmoid that stays well under 0.05 in
-	// probability space on this corpus. The bound is empirical with margin,
-	// not analytic — its job is to catch a broken kernel (errors near 0.5),
-	// not to certify a tight error model.
-	if maxErr == 0 {
-		t.Fatal("quantized path bit-identical to float: quantization not applied")
-	}
-	if maxErr > 0.05 {
-		t.Fatalf("quantized max abs probability error %g exceeds 0.05", maxErr)
 	}
 }

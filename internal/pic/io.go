@@ -3,9 +3,20 @@ package pic
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
+
+	"snowcat/internal/ctgraph"
+	"snowcat/internal/nn"
 )
+
+// ErrModelShape reports a decoded model whose tensors do not fit its
+// configuration: a missing component, a parameter whose values do not
+// fill Rows×Cols, a layer of the wrong shape, or a threshold outside
+// [0,1]. Such a model would otherwise decode cleanly and index-panic
+// inside Predict.
+var ErrModelShape = errors.New("pic: model shape mismatch")
 
 // Encode serialises the model (architecture, weights, vocabulary, tuned
 // threshold) with encoding/gob. Training caches are not serialised.
@@ -17,15 +28,17 @@ func (m *Model) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode reconstructs a model serialised by Encode.
+// Decode reconstructs a model serialised by Encode. A model whose shapes
+// do not fit its configuration fails with an error matching ErrModelShape.
 func Decode(data []byte) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("pic: decode: %w", err)
 	}
-	if m.Vocab != nil {
-		m.Vocab.Rebind()
+	if err := m.checkShapes(); err != nil {
+		return nil, err
 	}
+	m.Vocab.Rebind()
 	// Rebuild the cached parameter views gob left behind, before the model
 	// can reach the concurrent inference paths.
 	for _, p := range m.Params() {
@@ -37,6 +50,66 @@ func Decode(data []byte) (*Model, error) {
 		}
 	}
 	return &m, nil
+}
+
+// checkShapes verifies that every tensor the inference and training paths
+// index fits the model's configuration.
+func (m *Model) checkShapes() error {
+	d := m.Cfg.Dim
+	if d <= 0 || m.Vocab == nil || m.Enc == nil || m.Enc.Emb == nil || m.Enc.Out == nil ||
+		m.VType == nil || m.HintRole == nil || m.HintPos == nil || m.HintCtx == nil || m.Head == nil {
+		return fmt.Errorf("%w: Dim %d or a missing component", ErrModelShape, d)
+	}
+	type want struct {
+		p          *nn.Param
+		rows, cols int
+	}
+	ws := []want{
+		{m.Enc.Emb.Table, m.Vocab.Size(), d},
+		{m.VType.Table, ctgraph.NumVertexTypes, d},
+		{m.HintRole.Table, numHintRoles, d},
+		{m.HintPos.Table, maxHintSlots * posBuckets, d},
+		{m.HintCtx.W, d, d}, {m.HintCtx.B, 1, d},
+		{m.Head.W, d, 1}, {m.Head.B, 1, 1},
+	}
+	for i, l := range m.GCN {
+		if l == nil || l.In != d || l.Out != d || len(l.WRel) != NumRelations {
+			return fmt.Errorf("%w: GCN layer %d is not %dx%d with %d relations", ErrModelShape, i, d, d, NumRelations)
+		}
+		ws = append(ws, want{l.WSelf, d, d}, want{l.B, 1, d})
+		for _, w := range l.WRel {
+			ws = append(ws, want{w, d, d})
+		}
+	}
+	if m.DFHead != nil {
+		ws = append(ws, want{m.DFHead.W, 2 * d, 1}, want{m.DFHead.B, 1, 1})
+	}
+	for _, w := range ws {
+		if w.p == nil {
+			return fmt.Errorf("%w: missing parameter", ErrModelShape)
+		}
+		if w.p.Rows != w.rows || w.p.Cols != w.cols {
+			return fmt.Errorf("%w: %s is %dx%d, want %dx%d", ErrModelShape, w.p.Name, w.p.Rows, w.p.Cols, w.rows, w.cols)
+		}
+	}
+	// Every parameter, including the pretraining-only encoder head, must
+	// hold exactly Rows×Cols values.
+	ps := m.Params()
+	if m.DFHead != nil {
+		ps = append(ps, m.DFHead.Params()...)
+	}
+	for _, p := range ps {
+		if p == nil {
+			return fmt.Errorf("%w: missing parameter", ErrModelShape)
+		}
+		if p.Rows < 0 || p.Cols < 0 || len(p.Val) != p.Rows*p.Cols {
+			return fmt.Errorf("%w: %s holds %d values, not %dx%d", ErrModelShape, p.Name, len(p.Val), p.Rows, p.Cols)
+		}
+	}
+	if !(m.Threshold >= 0 && m.Threshold <= 1) {
+		return fmt.Errorf("%w: threshold %v outside [0,1]", ErrModelShape, m.Threshold)
+	}
+	return nil
 }
 
 // SaveFile writes the model to path.

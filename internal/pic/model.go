@@ -119,12 +119,6 @@ type Model struct {
 	// DFHead is the §6 inter-thread data-flow prediction head (see
 	// dataflow.go); nil until EnsureDFHead or TrainDF is called.
 	DFHead *nn.Dense
-
-	// qgcn holds the int8 snapshots of the GCN layers while quantized
-	// inference is enabled (SetQuantized). Unexported on purpose: the gob
-	// snapshot stays float-only, and quantized state never survives
-	// Save/Load or Clone — re-enable after deserialising.
-	qgcn []*nn.QGCNLayer
 }
 
 // Hint-role embedding indices.
@@ -453,10 +447,7 @@ func NewScratch() *Scratch { return &Scratch{} }
 // returning a logits matrix owned by s (valid until the next call). The
 // operation order matches forward exactly, so the two paths produce
 // bit-identical probabilities; a BaseContext (which may be nil) only
-// substitutes precomputed feature rows, never changes an op. The one
-// deliberate exception is quantized mode (SetQuantized), which swaps the
-// GCN stack for its int8 snapshots and tracks the float path only up to
-// the weight-quantization error.
+// substitutes precomputed feature rows, never changes an op.
 func (m *Model) inferLogits(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseContext) *tensor.Matrix {
 	n := len(g.Vertices)
 	dim := m.Cfg.Dim
@@ -467,16 +458,9 @@ func (m *Model) inferLogits(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *Ba
 	s.logits = ensureMat(s.logits, n, 1)
 	m.features(g, tc, &s.fc, s.x, bc)
 	in, out := s.x, s.h
-	if m.qgcn != nil {
-		for _, q := range m.qgcn {
-			q.Infer(s.rg, in, out, s.agg)
-			in, out = out, in
-		}
-	} else {
-		for _, l := range m.GCN {
-			l.Infer(s.rg, in, out, s.agg)
-			in, out = out, in
-		}
+	for _, l := range m.GCN {
+		l.Infer(s.rg, in, out, s.agg)
+		in, out = out, in
 	}
 	m.Head.Forward(in, s.logits)
 	return s.logits

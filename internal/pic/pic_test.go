@@ -1,6 +1,7 @@
 package pic
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"snowcat/internal/cfg"
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
+	"snowcat/internal/nn"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
 )
@@ -236,6 +238,48 @@ func TestLoadFileMissing(t *testing.T) {
 func TestDecodeGarbage(t *testing.T) {
 	if _, err := Decode([]byte("not a gob")); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestDecodeRejectsMisshapedModel encodes models whose tensors do not fit
+// their configuration and requires Decode to fail with ErrModelShape
+// instead of returning a model that index-panics inside Predict.
+func TestDecodeRejectsMisshapedModel(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(m *Model)
+	}{
+		{"truncated GCN weight", func(m *Model) {
+			w := m.GCN[0].WSelf
+			w.Val = w.Val[:len(w.Val)-1]
+		}},
+		{"GCN layer narrower than Dim", func(m *Model) {
+			m.GCN[1] = nn.NewGCNLayer("gcn1", m.Cfg.Dim-1, m.Cfg.Dim, NumRelations, nil)
+		}},
+		{"missing relation weight", func(m *Model) {
+			m.GCN[0].WRel = m.GCN[0].WRel[:NumRelations-1]
+		}},
+		{"head not Dim x 1", func(m *Model) { m.Head = nn.NewDense("head", m.Cfg.Dim, 2, nil) }},
+		{"threshold above 1", func(m *Model) { m.Threshold = 1.5 }},
+		{"NaN threshold", func(m *Model) { m.Threshold = math.NaN() }},
+	}
+	for _, c := range cases {
+		m := New(tinyCfg(17))
+		c.mutate(m)
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); !errors.Is(err, ErrModelShape) {
+			t.Errorf("%s: Decode error %v, want ErrModelShape", c.name, err)
+		}
+	}
+	data, err := New(tinyCfg(17)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err != nil {
+		t.Fatalf("well-formed model rejected: %v", err)
 	}
 }
 

@@ -1,0 +1,40 @@
+//go:build !race
+
+package tensor
+
+// useAVX2 selects the assembly row kernels. It is fixed at start-up from
+// CPUID; tests reset it to run the scalar Go kernels on the same host.
+var useAVX2 = hasAVX2()
+
+// hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
+// registers across context switches (CPUID.1:ECX.OSXSAVE, XCR0 bits 1-2).
+func hasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xgetbv()&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax uint32)
+
+// The kernels below are implemented in simd_amd64.s. Each handles only the
+// full 4-element blocks of its row; the wrappers in tensor.go check every
+// slice length first and finish the 1-3 element tail in Go.
+
+//go:noescape
+func mulAddRowAVX2(drow, arow, bd []float64, p int)
+
+//go:noescape
+func gatherScaledAVX2(dst []float64, alpha float64, hd []float64, dim int, srcs []int32)
+
+//go:noescape
+func axpyAVX2(alpha float64, x, y []float64)

@@ -1,0 +1,322 @@
+//go:build !race
+
+#include "textflag.h"
+
+// AVX2 bodies of the row kernels in tensor.go. Every output element keeps
+// the scalar kernels' operation sequence: one VMULPD and one VADDPD per
+// accumulate (never a fused multiply-add, which rounds once instead of
+// twice), applied in the same order. The Go wrappers check every slice
+// length before calling in, and pass lengths that are multiples of 4.
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET
+
+// MULADD accumulates one kept coefficient into the column block at byte
+// offset boff: acc = acc + a·b, where a is broadcast in Y4 and R13 holds
+// the byte offset of the coefficient's row of B relative to R10.
+#define MULADD(boff, acc, tmp) \
+	VMULPD boff(R10)(R13*1), Y4, tmp; \
+	VADDPD tmp, acc, acc
+
+// NEXTK takes the lowest set bit i of the kept-coefficient mask in AX:
+// it broadcasts arow[i] into Y4 and leaves the byte offset i·stride of
+// row i of B in R13.
+#define NEXTK \
+	BSFQ AX, R13;                  \
+	VBROADCASTSD (SI)(R13*8), Y4;  \
+	IMULQ R8, R13
+
+// DROPK clears the lowest set bit of AX, setting ZF when none remain.
+#define DROPK \
+	LEAQ -1(AX), R14; \
+	ANDQ R14, AX
+
+// func mulAddRowAVX2(drow, arow, bd []float64, p int)
+//
+// drow += arow·B over len(drow) columns (a multiple of 4), where row k of
+// B starts at bd[k*p]. The coefficients are taken in chunks of up to 64.
+// For each chunk a bit mask records which coefficients to keep: VCMPPD's
+// not-equal-unordered predicate drops ±0 exactly as the scalar kernel's
+// aik == 0 skip does, and keeps a NaN coefficient as that test does. Per
+// chunk, each column block of 16, 8 or 4 is then loaded into registers,
+// accumulated over the kept coefficients in ascending k (lowest mask bit
+// first), and stored.
+TEXT ·mulAddRowAVX2(SB), NOSPLIT, $0-80
+	MOVQ arow_base+24(FP), SI
+	MOVQ arow_len+32(FP), CX
+	MOVQ bd_base+48(FP), DX
+	MOVQ p+72(FP), R8
+	SHLQ $3, R8 // row stride of B in bytes
+	VXORPD Y15, Y15, Y15
+
+chunk:
+	TESTQ CX, CX
+	JZ    done
+	MOVQ  $64, R11
+	CMPQ  CX, R11
+	CMOVQLT CX, R11
+	SUBQ  R11, CX
+
+	// Build the mask from the chunk's end: first the 0-3 coefficients past
+	// the last full group of 4, then the groups, shifting earlier
+	// coefficients into lower bits.
+	XORQ R12, R12
+	MOVQ R11, R13
+
+mask1:
+	TESTQ $3, R13
+	JZ    mask4
+	DECQ  R13
+	VMOVSD    (SI)(R13*8), X4
+	VCMPSD    $4, X15, X4, X5
+	VMOVMSKPD X5, AX
+	ANDQ  $1, AX
+	SHLQ  $1, R12
+	ORQ   AX, R12
+	JMP   mask1
+
+mask4:
+	TESTQ R13, R13
+	JZ    columns
+	SUBQ  $4, R13
+	VCMPPD    $4, (SI)(R13*8), Y15, Y5
+	VMOVMSKPD Y5, AX
+	SHLQ  $4, R12
+	ORQ   AX, R12
+	JMP   mask4
+
+columns:
+	TESTQ R12, R12
+	JZ    nextchunk
+	MOVQ drow_base+0(FP), DI
+	MOVQ drow_len+8(FP), BX
+	MOVQ DX, R10
+
+cols16:
+	CMPQ BX, $16
+	JL   cols8
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ R12, AX
+
+k16:
+	NEXTK
+	MULADD(0, Y0, Y6)
+	MULADD(32, Y1, Y7)
+	MULADD(64, Y2, Y8)
+	MULADD(96, Y3, Y9)
+	DROPK
+	JNZ  k16
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R10
+	SUBQ $16, BX
+	JMP  cols16
+
+cols8:
+	CMPQ BX, $8
+	JL   cols4
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ R12, AX
+
+k8:
+	NEXTK
+	MULADD(0, Y0, Y6)
+	MULADD(32, Y1, Y7)
+	DROPK
+	JNZ  k8
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, R10
+	SUBQ $8, BX
+
+cols4:
+	CMPQ BX, $4
+	JL   nextchunk
+	VMOVUPD 0(DI), Y0
+	MOVQ R12, AX
+
+k4:
+	NEXTK
+	MULADD(0, Y0, Y6)
+	DROPK
+	JNZ  k4
+	VMOVUPD Y0, 0(DI)
+
+nextchunk:
+	ADDQ $512, SI // 64 coefficients
+	MOVQ R8, AX
+	SHLQ $6, AX
+	ADDQ AX, DX   // 64 rows of B
+	JMP  chunk
+
+done:
+	VZEROUPPER
+	RET
+
+// func gatherScaledAVX2(dst []float64, alpha float64, hd []float64, dim int, srcs []int32)
+//
+// dst = ((0 + alpha·row(srcs[0])) + alpha·row(srcs[1])) + … over len(dst)
+// columns (a multiple of 4), where row s of the source starts at hd[s*dim].
+TEXT ·gatherScaledAVX2(SB), NOSPLIT, $0-88
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), BX
+	VBROADCASTSD alpha+24(FP), Y4
+	MOVQ hd_base+32(FP), DX
+	MOVQ dim+56(FP), R8
+	SHLQ $3, R8 // row stride in bytes
+	MOVQ srcs_base+64(FP), SI
+	MOVQ srcs_len+72(FP), CX
+
+gcols16:
+	CMPQ BX, $16
+	JL   gcols8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ R11, R11
+
+g16:
+	CMPQ R11, CX
+	JGE  g16store
+	MOVLQSX (SI)(R11*4), R10
+	IMULQ R8, R10
+	ADDQ DX, R10
+	VMULPD 0(R10), Y4, Y6
+	VMULPD 32(R10), Y4, Y7
+	VMULPD 64(R10), Y4, Y8
+	VMULPD 96(R10), Y4, Y9
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y9, Y3, Y3
+	INCQ R11
+	JMP  g16
+
+g16store:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, BX
+	JMP  gcols16
+
+gcols8:
+	CMPQ BX, $8
+	JL   gcols4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ R11, R11
+
+g8:
+	CMPQ R11, CX
+	JGE  g8store
+	MOVLQSX (SI)(R11*4), R10
+	IMULQ R8, R10
+	ADDQ DX, R10
+	VMULPD 0(R10), Y4, Y6
+	VMULPD 32(R10), Y4, Y7
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	INCQ R11
+	JMP  g8
+
+g8store:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, BX
+
+gcols4:
+	CMPQ BX, $4
+	JL   gdone
+	VXORPD Y0, Y0, Y0
+	XORQ R11, R11
+
+g4:
+	CMPQ R11, CX
+	JGE  g4store
+	MOVLQSX (SI)(R11*4), R10
+	IMULQ R8, R10
+	ADDQ DX, R10
+	VMULPD 0(R10), Y4, Y6
+	VADDPD Y6, Y0, Y0
+	INCQ R11
+	JMP  g4
+
+g4store:
+	VMOVUPD Y0, 0(DI)
+
+gdone:
+	VZEROUPPER
+	RET
+
+// func axpyAVX2(alpha float64, x, y []float64)
+//
+// y += alpha·x over len(x) elements (a multiple of 4; len(y) is equal).
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y4
+	MOVQ x_base+8(FP), SI
+	MOVQ x_len+16(FP), CX
+	MOVQ y_base+32(FP), DI
+
+a16:
+	CMPQ CX, $16
+	JL   a4
+	VMULPD 0(SI), Y4, Y0
+	VMULPD 32(SI), Y4, Y1
+	VMULPD 64(SI), Y4, Y2
+	VMULPD 96(SI), Y4, Y3
+	VADDPD 0(DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
+	VADDPD 64(DI), Y2, Y2
+	VADDPD 96(DI), Y3, Y3
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $16, CX
+	JMP  a16
+
+a4:
+	CMPQ CX, $4
+	JL   adone
+	VMULPD 0(SI), Y4, Y0
+	VADDPD 0(DI), Y0, Y0
+	VMOVUPD Y0, 0(DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  a4
+
+adone:
+	VZEROUPPER
+	RET

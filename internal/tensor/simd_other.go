@@ -1,0 +1,16 @@
+//go:build !amd64 || race
+
+package tensor
+
+// useAVX2 is false where no assembly kernels are built: on other
+// architectures, and under the race detector, which cannot see the memory
+// assembly reads and writes.
+var useAVX2 = false
+
+func mulAddRowAVX2(drow, arow, bd []float64, p int) { panic("tensor: no AVX2 kernels in this build") }
+
+func gatherScaledAVX2(dst []float64, alpha float64, hd []float64, dim int, srcs []int32) {
+	panic("tensor: no AVX2 kernels in this build")
+}
+
+func axpyAVX2(alpha float64, x, y []float64) { panic("tensor: no AVX2 kernels in this build") }

@@ -60,37 +60,12 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// CopyFrom copies src into m (dimensions must match).
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic("tensor: CopyFrom shape mismatch")
-	}
-	copy(m.Data, src.Data)
-}
-
 // Randomize fills m with Glorot-style uniform noise scaled by the fan-in
 // and fan-out, using the deterministic rng.
 func (m *Matrix) Randomize(rng *xrand.RNG) {
 	scale := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * scale
-	}
-}
-
-// AddInPlace adds other elementwise into m.
-func (m *Matrix) AddInPlace(other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("tensor: AddInPlace shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
-}
-
-// Scale multiplies all elements by s.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
 	}
 }
 
@@ -133,11 +108,9 @@ func MulInto(dst, a, b *Matrix) {
 }
 
 // MulAddInto computes dst += a·b with the ikj loop order for cache
-// friendliness. Each row of dst is produced by mulAddRow, which batches
-// the nonzero a-coefficients four at a time so a quad shares one pass
-// over the destination row; every dst element still receives exactly one
-// accumulate per k, in ascending k order, so the result is bit-identical
-// to the plain triple loop.
+// friendliness. Each row of dst is produced by mulAddRow; every dst element
+// receives exactly one accumulate per nonzero coefficient, in ascending k
+// order, so the result is bit-identical to the plain triple loop.
 func MulAddInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MulAddInto shape mismatch")
@@ -161,15 +134,34 @@ func MulAddRowInto(dst, a []float64, b *Matrix) {
 	mulAddRow(dst, a, b.Data, b.Cols)
 }
 
-// mulAddRow computes drow += arow·B where B's rows are the p-wide slices
-// of bd. The destination is processed in 8-column register blocks, each
+// mulAddRow computes drow += arow·B, where row k of B is bd[k*p : k*p+p].
+// After checking the slice lengths it runs the AVX2 kernel over every full
+// 4-column block and mulAddRowGo over the 1-3 column tail, or mulAddRowGo
+// alone when the assembly is not selected. Both give identical bits.
+func mulAddRow(drow, arow, bd []float64, p int) {
+	if len(drow) != p || len(bd) != len(arow)*p {
+		panic("tensor: mulAddRow shape mismatch")
+	}
+	if useAVX2 && p >= 4 {
+		n := p &^ 3
+		mulAddRowAVX2(drow[:n], arow, bd, p)
+		if n < p {
+			mulAddRowGo(drow[n:], arow, bd[n:], p)
+		}
+		return
+	}
+	mulAddRowGo(drow, arow, bd, p)
+}
+
+// mulAddRowGo is the scalar kernel and the reference the assembly must
+// match: drow += arow·B over len(drow) columns, where row k of B starts at
+// bd[k*p]. The destination is processed in 8-column register blocks, each
 // loaded once, accumulated across the whole coefficient row, and stored
-// once — one pass over B per block, sized so a block plus the streamed B
-// columns stay L1-resident. Per destination element the accumulates still
-// apply in ascending-k order with exact zeros skipped, matching the
-// reference triple loop bit for bit (element chains are independent, so
-// the column-block traversal order cannot change any sum).
-func mulAddRow(drow, arow []float64, bd []float64, p int) {
+// once. Per destination element the accumulates apply in ascending-k order
+// with exact zeros skipped, matching the reference triple loop bit for bit
+// (element chains are independent, so the column-block traversal order
+// cannot change any sum).
+func mulAddRowGo(drow, arow, bd []float64, p int) {
 	if p == 1 {
 		// Column-vector fast path (the prediction head): the destination is
 		// one element, so keep it in a register across the whole coefficient
@@ -187,7 +179,7 @@ func mulAddRow(drow, arow []float64, bd []float64, p int) {
 		return
 	}
 	col := 0
-	for ; col+8 <= p; col += 8 {
+	for ; col+8 <= len(drow); col += 8 {
 		dblk := drow[col : col+8 : col+8]
 		// Eight scalar accumulators so the compiler keeps the destination
 		// block in registers across the whole coefficient row.
@@ -211,13 +203,13 @@ func mulAddRow(drow, arow []float64, bd []float64, p int) {
 		dblk[0], dblk[1], dblk[2], dblk[3] = y0, y1, y2, y3
 		dblk[4], dblk[5], dblk[6], dblk[7] = y4, y5, y6, y7
 	}
-	if col < p {
-		tail := drow[col:p]
+	if col < len(drow) {
+		tail := drow[col:]
 		for k, aik := range arow {
 			if aik == 0 {
 				continue
 			}
-			b := bd[k*p+col : k*p+p]
+			b := bd[k*p+col : k*p+len(drow)]
 			for j, v := range b {
 				tail[j] += aik * v
 			}
@@ -225,37 +217,30 @@ func mulAddRow(drow, arow []float64, bd []float64, p int) {
 	}
 }
 
-// axpyRow2 fuses two consecutive axpyRow calls over the same destination:
-// y += a1*x1 then y += a2*x2, with y loaded and stored once per element.
-// Per element the two accumulates still execute in sequence —
-// (y + a1*x1) + a2*x2 — so the result is bit-identical to the two separate
-// calls; the fusion only halves the loop overhead and the y traffic.
-// Callers must have proven len(x1) == len(x2) == len(y).
-func axpyRow2(a1 float64, x1 []float64, a2 float64, x2 []float64, y []float64) {
-	for len(x1) >= 4 && len(x2) >= 4 && len(y) >= 4 {
-		x1q := x1[:4]
-		x2q := x2[:4]
-		yq := y[:4]
-		yq[0] = (yq[0] + a1*x1q[0]) + a2*x2q[0]
-		yq[1] = (yq[1] + a1*x1q[1]) + a2*x2q[1]
-		yq[2] = (yq[2] + a1*x1q[2]) + a2*x2q[2]
-		yq[3] = (yq[3] + a1*x1q[3]) + a2*x2q[3]
-		x1 = x1[4:]
-		x2 = x2[4:]
-		y = y[4:]
+// axpyRow computes y += alpha*x. It panics unless len(x) == len(y), then
+// runs the AVX2 kernel over every full 4-element block and axpyRowGo over
+// the tail, or axpyRowGo alone when the assembly is not selected. Each
+// element receives exactly one accumulate, so the paths give identical bits.
+func axpyRow(alpha float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic("tensor: AXPY length mismatch")
 	}
-	y = y[:len(x1)]
-	x2 = x2[:len(x1)]
-	for i, v := range x1 {
-		y[i] = (y[i] + a1*v) + a2*x2[i]
+	if useAVX2 && len(x) >= 4 {
+		n := len(x) &^ 3
+		axpyAVX2(alpha, x[:n], y[:n])
+		if n == len(x) {
+			return
+		}
+		x, y = x[n:], y[n:]
 	}
+	axpyRowGo(alpha, x, y)
 }
 
-// axpyRow is AXPY without the cold length validation, for callers that
-// have already proven len(x) == len(y). The subslice walk keeps the body
-// free of bounds checks (verified with -gcflags=-d=ssa/check_bce); each
-// element receives exactly one accumulate, so unrolling is bit-neutral.
-func axpyRow(alpha float64, x, y []float64) {
+// axpyRowGo is the scalar kernel behind axpyRow, for len(x) == len(y). The
+// subslice walk keeps the body free of bounds checks (verified with
+// -gcflags=-d=ssa/check_bce); each element receives exactly one
+// accumulate, so unrolling is bit-neutral.
+func axpyRowGo(alpha float64, x, y []float64) {
 	for len(x) >= 4 && len(y) >= 4 {
 		xq := x[:4]
 		yq := y[:4]
@@ -323,10 +308,32 @@ func MulABTAddInto(dst, a, b *Matrix) {
 //	dst = ((0 + alpha·row(srcs[0])) + alpha·row(srcs[1])) + …
 //
 // applied element-wise, exactly the chain a zeroed buffer accumulated by
-// sequential AXPY calls would produce — the GCN gather. The destination is
-// held in scalar register blocks across the whole source list, so each
-// gathered row costs one load-multiply-add sweep and dst is written once.
+// sequential AXPY calls would produce — the GCN gather. It panics unless
+// every source row hd[s*dim : s*dim+len(dst)] lies within hd, then runs the
+// AVX2 kernel over every full 4-column block and gatherScaledGo over the
+// tail, or gatherScaledGo alone when the assembly is not selected.
 func GatherScaledInto(dst []float64, alpha float64, hd []float64, dim int, srcs []int32) {
+	for _, s := range srcs {
+		if o := int(s) * dim; o < 0 || o > len(hd)-len(dst) {
+			panic("tensor: GatherScaledInto source row out of range")
+		}
+	}
+	if useAVX2 && len(dst) >= 4 {
+		n := len(dst) &^ 3
+		gatherScaledAVX2(dst[:n], alpha, hd, dim, srcs)
+		if n == len(dst) {
+			return
+		}
+		dst, hd = dst[n:], hd[n:]
+	}
+	gatherScaledGo(dst, alpha, hd, dim, srcs)
+}
+
+// gatherScaledGo is the scalar kernel behind GatherScaledInto. The
+// destination is held in scalar register blocks across the whole source
+// list, so each gathered row costs one load-multiply-add sweep and dst is
+// written once.
+func gatherScaledGo(dst []float64, alpha float64, hd []float64, dim int, srcs []int32) {
 	col := 0
 	for ; col+8 <= len(dst); col += 8 {
 		dblk := dst[col : col+8 : col+8]
@@ -406,36 +413,5 @@ func Sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// Dot returns the inner product of equal-length vectors. The accumulator
-// is a single serial chain in index order (bit-stable), with the bounds
-// check hoisted out of the loop.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	b = b[:len(a)]
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x, 4-way unrolled. Each element is touched by
-// exactly one accumulate, so any unroll order is bit-identical.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("tensor: AXPY length mismatch")
-	}
-	axpyRow(alpha, x, y)
-}
-
-// AXPY2 computes y += a1*x1 followed by y += a2*x2 in one fused pass over
-// y. Per element the two accumulates execute in sequence, so the result is
-// bit-identical to two AXPY calls; only loop overhead and y traffic shrink.
-func AXPY2(a1 float64, x1 []float64, a2 float64, x2 []float64, y []float64) {
-	if len(x1) != len(y) || len(x2) != len(y) {
-		panic("tensor: AXPY2 length mismatch")
-	}
-	axpyRow2(a1, x1, a2, x2, y)
-}
+// AXPY computes y += alpha*x; x and y must have equal length.
+func AXPY(alpha float64, x, y []float64) { axpyRow(alpha, x, y) }
