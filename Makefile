@@ -10,12 +10,12 @@ build:
 # Vet runs asmdecl over the amd64 assembly; the arm64 vet and build keep
 # the portable file set (the scalar kernels without assembly) compiling.
 # Then the import-boundary gate: the pipeline consumers (mlpct, campaign,
-# razzer, snowboard) must resolve execution through the explore registry —
-# no direct internal/sim import and no direct ski.Execute* call outside
-# the backend implementations. The check reads direct imports only
-# (transitively every package reaches sim via explore -> ski), and skips
-# _test.go files, whose pinned pre-refactor loops call ski.Execute on
-# purpose.
+# razzer, snowboard) must execute through an explore.Executor — no direct
+# internal/sim import and no direct ski.Execute* call — so fault injection
+# and timing wrappers see every execution. The check reads direct imports
+# only (transitively every package reaches sim via explore -> ski), and
+# skips _test.go files, whose pinned pre-refactor loops call ski.Execute
+# on purpose.
 lint:
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -28,14 +28,14 @@ lint:
 		./internal/mlpct ./internal/campaign ./internal/razzer ./internal/snowboard \
 		| grep 'snowcat/internal/sim' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "import-boundary violation: internal/sim imported directly (use the explore executor registry):"; \
+		echo "import-boundary violation: internal/sim imported directly (execute through explore.Executor):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -n 'ski\.Execute' \
 		internal/mlpct/*.go internal/campaign/*.go internal/razzer/*.go internal/snowboard/*.go \
 		| grep -v '_test\.go' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "import-boundary violation: direct ski.Execute call (use the explore executor registry):"; \
+		echo "import-boundary violation: direct ski.Execute call (execute through explore.Executor):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -53,8 +53,6 @@ test: lint
 		./internal/explore ./internal/campaign ./internal/razzer ./internal/snowboard
 	$(GO) test -race ./internal/serve ./internal/fleet
 	$(GO) test -race -run 'TestTokenCacheConcurrentReaders|TestBaseContextConcurrentPredict' ./internal/pic
-	$(GO) test -race -run 'TestCompiledMatchesInterpreter|TestCompiledChaosParity' ./internal/ski
-	$(GO) test -race -run 'TestFused|TestInferStacked' ./internal/nn ./internal/pic
 	$(GO) test -race ./internal/stream ./internal/trainer
 
 test-race:
@@ -63,16 +61,18 @@ test-race:
 # Runs each native fuzz target for ~10s with no new corpus persistence —
 # the quick regression pass CI uses (a real fuzzing session just raises
 # -fuzztime). One invocation per target: go test accepts a single -fuzz
-# pattern and it must match exactly one target in the package.
+# pattern and it must match exactly one target in the package. A dataset
+# input carries about a kilobyte of gob type descriptors, and minimising
+# it takes runs quadratic in its length, so FuzzDatasetDecode caps each
+# new input's minimisation at 100 runs; uncapped it eats the whole 10s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleKey$$' -fuzztime 10s ./internal/ski
 	$(GO) test -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 10s ./internal/ski
-	$(GO) test -run '^$$' -fuzz '^FuzzCompiledExecute$$' -fuzztime 10s ./internal/ski
-	$(GO) test -run '^$$' -fuzz '^FuzzExecutorParity$$' -fuzztime 10s ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzCTGraphBuild$$' -fuzztime 10s ./internal/ctgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzExampleRoundTrip$$' -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzAmplifyNeighbors$$' -fuzztime 10s ./internal/amplify
+	$(GO) test -run '^$$' -fuzz '^FuzzDatasetDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/dataset
 
 vet:
 	$(GO) vet ./...
@@ -86,10 +86,10 @@ bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkCampaign|BenchmarkPredictBatch|BenchmarkSweep' -benchtime 3x .
 
 # Inference + executor hot-path benchmarks; snapshots the numbers to
-# BENCH_predict.json. Covers the base path, the fused sweep, and both
-# executors (interpreter vs compiled).
+# BENCH_predict.json. Covers single predicts, the direct and amortised
+# (BaseContext) schedule sweeps, and one interpreter execution.
 bench-predict:
-	$(GO) test -run xxx -bench 'BenchmarkPredictOne$$|BenchmarkPredictOneBase$$|BenchmarkScheduleSweep$$|BenchmarkScheduleSweepBase$$|BenchmarkScheduleSweepFused$$|BenchmarkExecuteInterp$$|BenchmarkExecuteCompiled$$' \
+	$(GO) test -run xxx -bench 'BenchmarkPredictOne$$|BenchmarkPredictOneBase$$|BenchmarkScheduleSweep$$|BenchmarkScheduleSweepBase$$|BenchmarkExecuteInterp$$' \
 		-benchmem -benchtime 2s . | tee bench_predict.out
 	awk 'BEGIN { print "[" } \
 		/^Benchmark/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
@@ -99,11 +99,10 @@ bench-predict:
 	rm -f bench_predict.out
 	cat BENCH_predict.json
 
-# Campaign-layer benchmarks (worker-pool campaigns, the executor-backend
-# comparison interp vs compiled vs loopback remote, plus the schedule-key
+# Campaign-layer benchmarks (worker-pool campaigns plus the schedule-key
 # hot path); snapshots the numbers to BENCH_campaign.json.
 bench-campaign:
-	$(GO) test -run xxx -bench 'BenchmarkCampaignSerial$$|BenchmarkCampaignParallel$$|BenchmarkCampaignBackend' \
+	$(GO) test -run xxx -bench 'BenchmarkCampaignSerial$$|BenchmarkCampaignParallel$$' \
 		-benchmem -benchtime 3x . | tee bench_campaign.out
 	$(GO) test -run xxx -bench 'BenchmarkScheduleKey' \
 		-benchmem -benchtime 10000x ./internal/ski | tee -a bench_campaign.out

@@ -83,10 +83,7 @@ func BenchmarkAmplifyFamily(b *testing.B) {
 	f := getAmplifyFixture()
 	for _, kind := range []kernel.BugKind{kernel.MissedWakeup, kernel.DoubleFree, kernel.TOCTOU} {
 		b.Run(kind.String(), func(b *testing.B) {
-			ex, err := explore.NewExecutor("interp", explore.Env{Kernel: f.k})
-			if err != nil {
-				b.Fatal(err)
-			}
+			ex := explore.DefaultExecutor(f.k)
 			for i := 0; i < b.N; i++ {
 				rep, err := amplify.Run(f.wit[kind], amplifyBenchConfig(ex))
 				if err != nil {
@@ -115,10 +112,7 @@ func BenchmarkAmplifyGuided(b *testing.B) {
 	f := getAmplifyFixture()
 	for _, kind := range []kernel.BugKind{kernel.MissedWakeup, kernel.DoubleFree, kernel.TOCTOU} {
 		b.Run(kind.String(), func(b *testing.B) {
-			ex, err := explore.NewExecutor("interp", explore.Env{Kernel: f.k})
-			if err != nil {
-				b.Fatal(err)
-			}
+			ex := explore.DefaultExecutor(f.k)
 			for i := 0; i < b.N; i++ {
 				exh, err := amplify.Run(f.wit[kind], amplifyBenchConfig(ex))
 				if err != nil {

@@ -19,7 +19,6 @@ import (
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
 	"snowcat/internal/pic"
-	"snowcat/internal/sim"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
 )
@@ -139,24 +138,6 @@ func BenchmarkScheduleSweepBase(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleSweepFused is the fused sweep: one static adjacency per
-// CTI, schedules scored in stacked blocks (pic.PredictAllFused). Scores are
-// bit-identical to the Base sweep (TestSweepPathsAgree).
-func BenchmarkScheduleSweepFused(b *testing.B) {
-	f := getPredFixture()
-	gs := make([]*ctgraph.Graph, len(f.scheds))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := f.builder.BuildBase(f.cti, f.pa, f.pb)
-		bc := f.m.NewBaseContext(base, f.tc)
-		for j, sched := range f.scheds {
-			gs[j] = base.WithSchedule(sched)
-		}
-		f.m.PredictAllFused(gs, f.tc, 1, bc)
-	}
-}
-
 // BenchmarkExecuteInterp is one full concurrent execution of the fixture
 // CTI through the reference interpreter, cycling the candidate schedules.
 func BenchmarkExecuteInterp(b *testing.B) {
@@ -170,24 +151,9 @@ func BenchmarkExecuteInterp(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteCompiled is BenchmarkExecuteInterp through the compiled
-// direct-threaded executor; the kernel is compiled once outside the loop,
-// as a campaign would amortise it per kernel version.
-func BenchmarkExecuteCompiled(b *testing.B) {
-	f := getPredFixture()
-	p := sim.Compile(f.k)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ski.ExecuteCompiled(p, f.cti, f.scheds[i%len(f.scheds)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSweepPathsAgree pins the sweep benchmarks to each other: the
-// amortised and fused paths must produce bit-identical scores to the
-// direct path for every candidate schedule.
+// amortised path must produce bit-identical scores to the direct path for
+// every candidate schedule.
 func TestSweepPathsAgree(t *testing.T) {
 	f := getPredFixture()
 	base := f.builder.BuildBase(f.cti, f.pa, f.pb)
@@ -202,9 +168,5 @@ func TestSweepPathsAgree(t *testing.T) {
 	got := f.m.PredictAllCtx(amort, f.tc, 1, bc)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("amortised sweep scores diverged from direct sweep")
-	}
-	fused := f.m.PredictAllFused(amort, f.tc, 1, bc)
-	if !reflect.DeepEqual(fused, want) {
-		t.Fatal("fused sweep scores diverged from direct sweep")
 	}
 }

@@ -29,14 +29,13 @@ func cmdAmplify(args []string) error {
 	rounds := fs.Int("rounds", 3, "max hill-climb rounds")
 	topK := fs.Int("top-k", 8, "predicted-best neighbors executed per round when -model is set")
 	model := fs.String("model", "", "PIC model file enabling predictor-guided top-k pruning")
-	midrun := fs.Bool("midrun", false, "perturb trials with mid-run schedule-point preemptions instead of pre-planned hint jitter (local backends)")
+	midrun := fs.Bool("midrun", false, "perturb trials with mid-run schedule-point preemptions instead of pre-planned hint jitter")
 	par := parallelFlag(fs)
-	exf := newExecutorFlags(fs)
 	strat := strategyFlag(fs, "", "dedupe strategy for the guided path (requires -model; empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if exf.listed() || strategyListed(*strat) {
+	if strategyListed(*strat) {
 		return nil
 	}
 
@@ -49,13 +48,9 @@ func cmdAmplify(args []string) error {
 	cfg.NumTOCTOU += *families
 	k := kernel.Generate(cfg)
 
-	ex, err := exf.build(k)
-	if err != nil {
-		return err
-	}
 	opt := amplify.Config{
 		Radius: *radius, Trials: *trials, Rounds: *rounds, TopK: *topK,
-		Seed: *seed + 70, Exec: ex, Parallel: *par, MidRun: *midrun,
+		Seed: *seed + 70, Exec: explore.DefaultExecutor(k), Parallel: *par, MidRun: *midrun,
 		Led: explore.NewLedger(explore.PaperCosts()),
 	}
 	if *model != "" {

@@ -30,60 +30,15 @@ func parallelFlag(fs *flag.FlagSet) *int {
 	return fs.Int("parallel", runtime.NumCPU(), "worker count for parallel phases (results are identical at any count)")
 }
 
-// executorFlags bundles the shared -executor / -executor-urls pair: the
-// execution backend is resolved by name through the explore registry, so
-// every subcommand accepts exactly the set of backends this build links
-// (interp, compiled, and — via the serve package — remote).
-type executorFlags struct {
-	name *string
-	urls *string
-}
-
-// newExecutorFlags registers the shared executor flag pair.
-func newExecutorFlags(fs *flag.FlagSet) *executorFlags {
-	return &executorFlags{
-		name: fs.String("executor", "interp", "execution backend; '?' lists the registered backends"),
-		urls: fs.String("executor-urls", "", "comma-separated shard base URLs for -executor=remote"),
-	}
-}
-
-// listed handles -executor=?: it prints the registered backends and
-// reports that the invocation was informational, so the command returns
-// without doing any work.
-func (e *executorFlags) listed() bool {
-	if *e.name != "?" {
-		return false
-	}
-	fmt.Println("registered executors:")
-	for _, n := range explore.Executors() {
-		fmt.Printf("  %s\n", n)
-	}
-	return true
-}
-
-// build resolves the named backend over kernel k through the registry.
-func (e *executorFlags) build(k *kernel.Kernel) (explore.Executor, error) {
-	return e.buildURLs(k, nil)
-}
-
-// buildURLs is build with fallback shard URLs for the remote backend;
-// -executor-urls overrides them (the fleet command passes its own
-// listeners here).
-func (e *executorFlags) buildURLs(k *kernel.Kernel, urls []string) (explore.Executor, error) {
-	env := explore.Env{Kernel: k, URLs: urls}
-	if *e.urls != "" {
-		env.URLs = strings.Split(*e.urls, ",")
-	}
-	return explore.NewExecutor(*e.name, env)
-}
-
 // strategyFlag registers the shared -strategy flag; specs resolve through
 // the strategy registry (strategy.New).
 func strategyFlag(fs *flag.FlagSet, def, usage string) *string {
 	return fs.String("strategy", def, usage+"; '?' lists the registered strategies")
 }
 
-// strategyListed handles -strategy=? (see executorFlags.listed).
+// strategyListed handles -strategy=?: it prints the registered strategies
+// and reports that the invocation was informational, so the command
+// returns without doing any work.
 func strategyListed(spec string) bool {
 	if spec != "?" {
 		return false
@@ -311,12 +266,8 @@ func cmdEval(args []string) error {
 	ctis := fs.Int("ctis", 25, "evaluation CTIs")
 	inter := fs.Int("interleavings", 8, "interleavings per CTI")
 	par := parallelFlag(fs)
-	exf := newExecutorFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if exf.listed() {
-		return nil
 	}
 	k, _, err := kernelFromFlags(*seed, *size)
 	if err != nil {
@@ -328,11 +279,6 @@ func cmdEval(args []string) error {
 	}
 	tc := pic.NewTokenCache(k, m.Vocab)
 	col := dataset.NewCollector(k, *seed+20)
-	// The evaluation set's labelling executions run through the selected
-	// backend; backends are pinned DeepEqual, so the metrics don't move.
-	if col.Exec, err = exf.build(k); err != nil {
-		return err
-	}
 	ds, err := col.Collect(dataset.Config{Seed: *seed + 21, NumCTIs: *ctis, InterleavingsPerCTI: *inter, Parallel: *par})
 	if err != nil {
 		return err
@@ -373,19 +319,14 @@ func cmdCampaign(args []string) error {
 	progress := fs.Bool("progress", false, "print pipeline progress from the explore hooks")
 	every := fs.Int("progress-every", 100, "executions between -progress lines")
 	ef := newExploreFlags(fs)
-	exf := newExecutorFlags(fs)
 	strat := strategyFlag(fs, "s1", "MLPCT selection strategy spec")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if exf.listed() || strategyListed(*strat) {
+	if strategyListed(*strat) {
 		return nil
 	}
 	k, _, err := kernelFromFlags(*seed, *size)
-	if err != nil {
-		return err
-	}
-	ex, err := exf.build(k)
 	if err != nil {
 		return err
 	}
@@ -428,7 +369,7 @@ func cmdCampaign(args []string) error {
 	pct, err := r.Run(campaign.Config{
 		Name: "PCT", Seed: *seed + 30, NumCTIs: *ctis, Opts: opts,
 		Cost: campaign.PaperCosts(), Parallel: *ef.parallel, Hooks: hooks,
-		Exec: ex, Resilience: resPCT,
+		Resilience: resPCT,
 	})
 	if err != nil {
 		return err
@@ -441,7 +382,7 @@ func cmdCampaign(args []string) error {
 		Name: "MLPCT-" + st.Name(), Seed: *seed + 30, NumCTIs: *ctis, Opts: opts,
 		Cost: campaign.PaperCosts(), Parallel: *ef.parallel, Hooks: hooks,
 		Pred: predictor.NewPIC(m, tc, "PIC"), Strat: st,
-		Exec: ex, Resilience: resML,
+		Resilience: resML,
 	})
 	if err != nil {
 		return err
@@ -478,12 +419,11 @@ func cmdRazzer(args []string) error {
 	schedules := fs.Int("schedules", 200, "random schedules per candidate CTI")
 	maxCTIs := fs.Int("maxctis", 20, "cap on candidates per mode")
 	ef := newExploreFlags(fs)
-	exf := newExecutorFlags(fs)
 	strat := strategyFlag(fs, "s1", "selection strategy spec (validated against the registry; razzer's reproduction modes draw schedules strategy-free)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if exf.listed() || strategyListed(*strat) {
+	if strategyListed(*strat) {
 		return nil
 	}
 	if _, err := strategy.New(*strat); err != nil {
@@ -515,9 +455,6 @@ func cmdRazzer(args []string) error {
 	stis := razzer.BuildPool(k, syscalls, *pool, 4, *seed+40)
 	finder, err := razzer.NewFinder(k, stis)
 	if err != nil {
-		return err
-	}
-	if finder.Exec, err = exf.build(k); err != nil {
 		return err
 	}
 	modes := []razzer.Mode{razzer.Conservative, razzer.Relax}
@@ -562,19 +499,14 @@ func cmdSnowboard(args []string) error {
 	members := fs.Int("members", 20, "CTI candidates per bug cluster")
 	trials := fs.Int("trials", 500, "sampling trials per cluster")
 	ef := newExploreFlags(fs)
-	exf := newExecutorFlags(fs)
 	strats := strategyFlag(fs, "s1,s2", "comma-separated strategy specs for the SB-PIC samplers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if exf.listed() || strategyListed(*strats) {
+	if strategyListed(*strats) {
 		return nil
 	}
 	k, _, err := kernelFromFlags(*seed, *size)
-	if err != nil {
-		return err
-	}
-	ex, err := exf.build(k)
 	if err != nil {
 		return err
 	}
@@ -638,7 +570,7 @@ func cmdSnowboard(args []string) error {
 			trig := make([]bool, len(c.Members))
 			any, all := false, true
 			for i, mem := range c.Members {
-				hit, _, err := snowboard.ExploreX(ex, mem, c, bug.ID, 20, *seed+uint64(60+i), res, fled, nil)
+				hit, _, err := snowboard.ExploreR(k, mem, c, bug.ID, 20, *seed+uint64(60+i), res, fled, nil)
 				if err != nil {
 					return err
 				}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -173,15 +175,61 @@ func TestCmdSmallKernelRuns(t *testing.T) {
 			[]string{"-seed", "9", "-model", model, "-ctis", "3", "-budget", "3", "-retrain-every", "0"}},
 		{"amplify exhaustive", cmdAmplify,
 			[]string{"-seed", "3", "-bug", "6", "-samples", "50", "-trials", "5", "-rounds", "2", "-parallel", "2"}},
-		{"amplify guided compiled", cmdAmplify,
+		{"amplify guided", cmdAmplify,
 			[]string{"-seed", "3", "-bug", "5", "-samples", "200", "-trials", "5", "-rounds", "2",
-				"-model", model, "-top-k", "4", "-strategy", "s1", "-executor", "compiled", "-parallel", "2"}},
+				"-model", model, "-top-k", "4", "-strategy", "s1", "-parallel", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.cmd(tc.args); err != nil {
+			out, err := captureStdout(t, func() error { return tc.cmd(tc.args) })
+			if err != nil {
 				t.Fatal(err)
 			}
+			out = strings.ReplaceAll(out, dir, "$TMP")
+			checkGolden(t, filepath.Join("testdata", strings.ReplaceAll(tc.name, " ", "_")+".golden"), out)
 		})
+	}
+}
+
+// update rewrites the golden files instead of comparing against them:
+// go test ./cmd/snowcat -run TestCmdSmallKernelRuns -update
+var update = flag.Bool("update", false, "rewrite cmd/snowcat/testdata/*.golden")
+
+// captureStdout runs fn with os.Stdout redirected to a temp file and
+// returns what it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	runErr := fn()
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), runErr
+}
+
+// checkGolden compares got with the golden file at path byte for byte,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("stdout differs from %s (run with -update to accept)\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"reflect"
 	"time"
 
-	"snowcat/internal/explore"
 	"snowcat/internal/fleet"
 	"snowcat/internal/kernel"
 	"snowcat/internal/pic"
@@ -39,12 +37,11 @@ func cmdFleet(args []string) error {
 	maxBatch := fs.Int("max-batch", 32, "per-shard max coalesced batch size")
 	waitMS := fs.Float64("wait-ms", 2, "per-shard max batch hold in milliseconds")
 	kill := fs.Int("kill", -1, "shard to kill a third of the way in and restart at two thirds (-1 = no chaos)")
-	exf := newExecutorFlags(fs)
 	strat := strategyFlag(fs, "s1", "selection strategy spec (validated against the registry; the loadgen issues prediction traffic only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if exf.listed() || strategyListed(*strat) {
+	if strategyListed(*strat) {
 		return nil
 	}
 	if _, err := strategy.New(*strat); err != nil {
@@ -156,27 +153,6 @@ func cmdFleet(args []string) error {
 		fmt.Printf("shard %d: %d requests, p50 %v p99 %v, station hit rate %.3f, shed rate %.4f\n",
 			s, p.N, p.P50.Round(time.Microsecond), p.P99.Round(time.Microsecond), hitRate, st.ShedRate)
 	}
-
-	// Executor check: resolve the selected backend (remote defaults to
-	// this fleet's own listeners) and verify one execution round-trip is
-	// bit-identical to the local interpreter. With -kill the killed shard
-	// has been restarted by now, so every shard answers.
-	ex, err := exf.buildURLs(k, urls)
-	if err != nil {
-		return err
-	}
-	want, err := explore.DefaultExecutor(k).Execute(ctis[0], scheds[0][0])
-	if err != nil {
-		return err
-	}
-	got, err := ex.Execute(ctis[0], scheds[0][0])
-	if err != nil {
-		return fmt.Errorf("executor %s: %w", ex.Name(), err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("executor %s: execution result diverges from interp", ex.Name())
-	}
-	fmt.Printf("executor %s: execution parity with interp verified\n", ex.Name())
 
 	if *kill >= 0 {
 		// Recovery proof: a CTI owned by the killed shard must score again

@@ -24,19 +24,14 @@ func cmdLearn(args []string) error {
 	tune := fs.Bool("tune", false, "retune the decision threshold on each round's fresh batch")
 	buffer := fs.Int("buffer", 64, "outcome bus buffer (publishes beyond it flush inline)")
 	ef := newExploreFlags(fs)
-	exf := newExecutorFlags(fs)
 	strat := strategyFlag(fs, "s4", "MLPCT selection strategy spec (s4 prefers uncertain candidates — active learning)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if exf.listed() || strategyListed(*strat) {
+	if strategyListed(*strat) {
 		return nil
 	}
 	k, _, err := kernelFromFlags(*seed, *size)
-	if err != nil {
-		return err
-	}
-	ex, err := exf.build(k)
 	if err != nil {
 		return err
 	}
@@ -57,7 +52,7 @@ func cmdLearn(args []string) error {
 	out, err := trainer.Learn(k, m, tc, trainer.LoopConfig{
 		Name: "LEARN-" + st.Name(), Seed: *seed + 30, NumCTIs: *ctis,
 		Opts: campaignOptions(*budget), Cost: campaign.PaperCosts(),
-		Strat: st, Exec: ex, Parallel: *ef.parallel, Resilience: res,
+		Strat: st, Parallel: *ef.parallel, Resilience: res,
 		Train:  trainer.Config{RetrainEvery: *every, MinNew: *minNew, Tune: *tune},
 		Buffer: *buffer,
 	})

@@ -104,8 +104,8 @@ type Config struct {
 	Rounds int
 	// Seed drives every draw: same seed, same run.
 	Seed uint64
-	// Exec is the execution backend (required). Any registered backend
-	// works; results are identical across them.
+	// Exec runs every trial (required); explore.DefaultExecutor or a
+	// wrapper around it.
 	Exec explore.Executor
 	// Pred, when set, ranks neighbors by predicted similarity to the
 	// witness's coverage plus predicted bug-block coverage, and only the
@@ -124,9 +124,9 @@ type Config struct {
 	// StepLimit caps each execution; <= 0 keeps the global bound.
 	StepLimit int
 	// MidRun switches trial noise from pre-planned hint jitter to in-run
-	// SchedulePoint hook preemptions (ski.ExecHooks). Requires a backend
-	// implementing explore.HookedExecutor (interp, compiled); remote
-	// backends fall back to pre-planned jitter.
+	// SchedulePoint hook preemptions (ski.ExecHooks). Requires an executor
+	// implementing explore.HookedExecutor (DefaultExecutor does); other
+	// executors fall back to pre-planned jitter.
 	MidRun bool
 }
 
@@ -188,8 +188,7 @@ type Report struct {
 // reproduction rate, then hill-climbs through the schedule neighborhood —
 // optionally pruned to the predictor's top-K — re-estimating each
 // candidate's rate over Config.Trials noise-perturbed executions. The run
-// is deterministic per seed, worker-count invariant, and backend
-// invariant (pre-planned trial noise executes plain schedules).
+// is deterministic per seed and worker-count invariant.
 func Run(w Witness, opt Config) (*Report, error) {
 	if opt.Exec == nil {
 		return nil, fmt.Errorf("%w: Exec is required", ErrBadConfig)
@@ -206,7 +205,7 @@ func Run(w Witness, opt Config) (*Report, error) {
 	rep := &Report{ExecsTo90: -1}
 
 	// Predictor setup: one schedule-independent base per run, shared by
-	// every round's fused scoring sweep.
+	// every round's scoring sweep.
 	var base *ctgraph.Base
 	var witnessScores []float64
 	var bugBlock int32 = -1
@@ -301,8 +300,8 @@ func Run(w Witness, opt Config) (*Report, error) {
 }
 
 // rank scores the fresh neighbors with the predictor over the shared base
-// (a fused sweep), orders them by predicted bug-block coverage plus
-// cosine similarity to the witness's score vector, applies the optional
+// (one batch under BeginCTI), orders them by predicted bug-block coverage
+// plus cosine similarity to the witness's score vector, applies the optional
 // strategy filter, and returns the top-K. Pure function of its inputs:
 // the order ties break by generation position.
 func rank(fresh []ski.Schedule, w Witness, base *ctgraph.Base, bugBlock int32,
@@ -350,7 +349,7 @@ func rank(fresh []ski.Schedule, w Witness, base *ctgraph.Base, bugBlock int32,
 // measure estimates one schedule's reproduction rate over len(seeds)
 // trials. Trial 0 runs the schedule unperturbed; trial t derives its
 // perturbation entirely from seeds[t], so the sweep is identical no
-// matter which worker runs it or which backend executes it.
+// matter which worker runs it.
 func measure(w Witness, sched ski.Schedule, seeds []uint64, traces [2][]ski.InstrRef, opt Config) (Candidate, error) {
 	c := Candidate{Sched: sched, Key: sched.Key(), Trials: len(seeds)}
 	hx, hooked := opt.Exec.(explore.HookedExecutor)
@@ -378,8 +377,8 @@ func measure(w Witness, sched ski.Schedule, seeds []uint64, traces [2][]ski.Inst
 }
 
 // hookNoise builds the mid-run noise hooks for one trial: a handful of
-// extra preemptions at seed-drawn schedule-point counts — the in-executor
-// analogue of pre-planned hint jitter, available on local backends only.
+// extra preemptions at seed-drawn schedule-point counts — the in-run
+// analogue of pre-planned hint jitter, available on hooked executors only.
 func hookNoise(seed uint64, noise int) *ski.ExecHooks {
 	rng := xrand.New(seed)
 	points := make(map[int]bool, noise)

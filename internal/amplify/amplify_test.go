@@ -1,14 +1,12 @@
 package amplify
 
 import (
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"snowcat/internal/explore"
 	"snowcat/internal/kernel"
 	"snowcat/internal/predictor"
-	"snowcat/internal/serve"
 	"snowcat/internal/ski"
 	"snowcat/internal/strategy"
 )
@@ -43,15 +41,6 @@ func findWitness(t *testing.T, k *kernel.Kernel, kind kernel.BugKind) Witness {
 		t.Fatalf("%s: %v", kind, err)
 	}
 	return w
-}
-
-func newExec(t *testing.T, name string, k *kernel.Kernel) explore.Executor {
-	t.Helper()
-	ex, err := explore.NewExecutor(name, explore.Env{Kernel: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ex
 }
 
 func TestNeighborsDeterministicAndDistinct(t *testing.T) {
@@ -91,7 +80,7 @@ func TestNeighborsDeterministicAndDistinct(t *testing.T) {
 func TestRunDeterministicAndWorkerInvariant(t *testing.T) {
 	k := familyKernel(3)
 	w := findWitness(t, k, kernel.TOCTOU)
-	ex := newExec(t, "interp", k)
+	ex := explore.DefaultExecutor(k)
 	base := Config{Seed: 5, Trials: 6, Radius: 3, Rounds: 2, Exec: ex}
 	var reports []*Report
 	for _, workers := range []int{1, 4, 1} {
@@ -111,41 +100,9 @@ func TestRunDeterministicAndWorkerInvariant(t *testing.T) {
 	}
 }
 
-func TestRunBackendParity(t *testing.T) {
-	k := familyKernel(3)
-	w := findWitness(t, k, kernel.MissedWakeup)
-
-	s := serve.New(serve.NewRegistry(), serve.Config{Kernel: k, Sync: true})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { s.Close() })
-	remote, err := explore.NewExecutor("remote", explore.Env{Kernel: k, URLs: []string{ts.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt := Config{Seed: 11, Trials: 5, Radius: 3, Rounds: 2, Parallel: 2}
-	var want *Report
-	for _, ex := range []explore.Executor{newExec(t, "interp", k), newExec(t, "compiled", k), remote} {
-		o := opt
-		o.Exec = ex
-		rep, err := Run(w, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		if !reflect.DeepEqual(want, rep) {
-			t.Fatalf("backend %s diverges from interp", ex.Name())
-		}
-	}
-}
-
 func TestAmplifyLiftsFamilyBugs(t *testing.T) {
 	k := familyKernel(3)
-	ex := newExec(t, "interp", k)
+	ex := explore.DefaultExecutor(k)
 	for _, kind := range []kernel.BugKind{kernel.MissedWakeup, kernel.DoubleFree, kernel.TOCTOU} {
 		w := findWitness(t, k, kind)
 		rep, err := Run(w, Config{Seed: 23, Trials: 20, Radius: 6, Rounds: 8, Exec: ex})
@@ -189,7 +146,7 @@ func TestRacyPairWitnessClassicKinds(t *testing.T) {
 func TestPredictorGuidedPrunes(t *testing.T) {
 	k := familyKernel(3)
 	w := findWitness(t, k, kernel.DoubleFree)
-	ex := newExec(t, "interp", k)
+	ex := explore.DefaultExecutor(k)
 	exhaustive, err := Run(w, Config{Seed: 7, Trials: 4, Radius: 4, Rounds: 2, Exec: ex})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +182,7 @@ func TestLedgerAccounting(t *testing.T) {
 	w := findWitness(t, k, kernel.TOCTOU)
 	led := explore.NewLedger(explore.PaperCosts())
 	rep, err := Run(w, Config{
-		Seed: 3, Trials: 4, Radius: 3, Rounds: 2, TopK: 4, Exec: newExec(t, "interp", k),
+		Seed: 3, Trials: 4, Radius: 3, Rounds: 2, TopK: 4, Exec: explore.DefaultExecutor(k),
 		Pred: predictor.AllPos{}, Led: led,
 	})
 	if err != nil {
@@ -248,25 +205,23 @@ func TestLedgerAccounting(t *testing.T) {
 func TestMidRunHooksDeterministic(t *testing.T) {
 	k := familyKernel(3)
 	w := findWitness(t, k, kernel.DoubleFree)
-	for _, name := range []string{"interp", "compiled"} {
-		o := Config{Seed: 13, Trials: 5, Radius: 3, Rounds: 1, MidRun: true, Exec: newExec(t, name, k)}
-		r1, err := Run(w, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := Run(w, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r1, r2) {
-			t.Fatalf("%s: mid-run amplification not deterministic", name)
-		}
+	o := Config{Seed: 13, Trials: 5, Radius: 3, Rounds: 1, MidRun: true, Exec: explore.DefaultExecutor(k)}
+	r1, err := Run(w, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Run(w, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("mid-run amplification not deterministic")
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
 	k := familyKernel(3)
-	ex := newExec(t, "interp", k)
+	ex := explore.DefaultExecutor(k)
 	if _, err := Run(Witness{}, Config{}); err == nil {
 		t.Fatal("nil executor accepted")
 	}

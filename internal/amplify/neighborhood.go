@@ -4,7 +4,7 @@
 // the Black-Box Bug-Amplification workload of ROADMAP item 4. Candidate
 // neighbors are optionally ranked with the learned coverage predictor so
 // only the top-K predicted-similar schedules are executed, execution goes
-// through the explore.Executor registry, and repro-rate trials fan out via
+// through an explore.Executor, and repro-rate trials fan out via
 // internal/parallel with worker-count-invariant results.
 package amplify
 
@@ -146,8 +146,7 @@ func Neighbors(origin ski.Schedule, traces [2][]ski.InstrRef, radius int, seed u
 // perturb derives one trial's noise variant of sched: every switch point
 // and injection jitters by up to noise positions along its trace, drawn
 // from rng. The perturbation is pre-planned — the trial executes a plain
-// schedule — so repro-rate estimation is identical through every executor
-// backend, local or remote.
+// schedule — so it needs nothing from the executor beyond Execute.
 func perturb(sched ski.Schedule, traces [2][]ski.InstrRef, noise int, rng *xrand.RNG) ski.Schedule {
 	out := ski.Schedule{Hints: append([]ski.Hint(nil), sched.Hints...)}
 	if len(sched.IRQs) > 0 {

@@ -95,10 +95,8 @@ type Config struct {
 	// nil runs plain PCT.
 	Pred  predictor.Predictor
 	Strat strategy.Strategy
-	// Exec is the execution backend (see explore.NewExecutor); nil selects
-	// the interpreter over the runner's kernel. Every registered backend is
-	// pinned DeepEqual to the interpreter, so the History does not depend
-	// on this choice.
+	// Exec runs the campaign's executions; nil selects
+	// explore.DefaultExecutor over the runner's kernel.
 	Exec explore.Executor
 	// Parallel bounds the campaign worker pool (STI profiling, candidate
 	// scoring, and dynamic executions); <= 0 selects GOMAXPROCS. The

@@ -8,6 +8,7 @@ import (
 	"snowcat/internal/faults"
 	"snowcat/internal/kernel"
 	"snowcat/internal/mlpct"
+	"snowcat/internal/pic"
 	"snowcat/internal/predictor"
 	"snowcat/internal/strategy"
 )
@@ -68,13 +69,20 @@ func TestPinnedHistoryZeroRateResilience(t *testing.T) {
 
 // TestCampaignChaosDeterministic pins the enabled contract: with a fixed
 // fault seed the whole history — coverage points, simulated clock, and the
-// retry/skip/quarantine counters — is identical at 1 and 4 workers.
+// retry/skip/quarantine counters — is identical at 1 and 4 workers, for
+// plain PCT, MLPCT over a stub predictor, and MLPCT over a PIC model (whose
+// per-CTI context and batched scoring then run under faults).
 func TestCampaignChaosDeterministic(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(31))
 	r := NewRunner(k)
-	for _, mlpctRun := range []bool{false, true} {
+	m := pic.New(pic.Config{Dim: 8, Layers: 2, Seed: 32})
+	tc := pic.NewTokenCache(k, m.Vocab)
+	for _, guide := range []string{"pct", "allpos-s2", "pic-s1"} {
 		run := func(workers int) *History {
-			cfg := chaosConfig(workers, mlpctRun)
+			cfg := chaosConfig(workers, guide == "allpos-s2")
+			if guide == "pic-s1" {
+				cfg.Pred, cfg.Strat = predictor.NewPIC(m, tc, "PIC"), strategy.NewS1()
+			}
 			cfg.Resilience = mustResilience(t, faults.New(77, 0.5), faults.DefaultPolicy())
 			h, err := r.Run(cfg)
 			if err != nil {
@@ -84,10 +92,10 @@ func TestCampaignChaosDeterministic(t *testing.T) {
 		}
 		canon := run(1)
 		if canon.Retries+canon.Skipped == 0 {
-			t.Fatalf("mlpct=%v: chaos campaign injected nothing", mlpctRun)
+			t.Fatalf("%s: chaos campaign injected nothing", guide)
 		}
 		if got := run(4); !reflect.DeepEqual(got, canon) {
-			t.Fatalf("mlpct=%v: workers=4 history diverged\ngot  %+v\nwant %+v", mlpctRun, got, canon)
+			t.Fatalf("%s: workers=4 history diverged\ngot  %+v\nwant %+v", guide, got, canon)
 		}
 	}
 }

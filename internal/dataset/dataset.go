@@ -118,9 +118,8 @@ type Collector struct {
 	K       *kernel.Kernel
 	Builder *ctgraph.Builder
 	Gen     *syz.Generator
-	// Exec is the execution backend labelling runs through (see
-	// explore.NewExecutor); nil selects the interpreter. Backends are
-	// pinned DeepEqual, so the collected dataset does not depend on it.
+	// Exec runs the labelling executions; nil selects
+	// explore.DefaultExecutor over the collector's kernel.
 	Exec explore.Executor
 }
 

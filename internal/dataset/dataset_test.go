@@ -1,14 +1,16 @@
 package dataset
 
 import (
+	"errors"
 	"testing"
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
+	"snowcat/internal/pic"
 	"snowcat/internal/ski"
 )
 
-func collectSmall(t *testing.T, seed uint64, ctis, inter int) *Dataset {
+func collectSmall(t testing.TB, seed uint64, ctis, inter int) *Dataset {
 	t.Helper()
 	k := kernel.Generate(kernel.SmallConfig(seed))
 	col := NewCollector(k, seed+1)
@@ -203,6 +205,52 @@ func TestLoadFileMissing(t *testing.T) {
 func TestDecodeGarbage(t *testing.T) {
 	if _, err := Decode([]byte("junk")); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestDecodeRejectsCorruptExamples re-encodes a collected dataset with one
+// example broken at a time and requires Decode to fail with ErrCorrupt.
+// Each of these used to decode cleanly and index-panic inside training.
+func TestDecodeRejectsCorruptExamples(t *testing.T) {
+	clean, err := collectSmall(t, 19, 2, 2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(ex *pic.Example)
+	}{
+		{"edge past the vertex count", func(ex *pic.Example) {
+			n := int32(len(ex.G.Vertices))
+			ex.G.Edges = append(ex.G.Edges, ctgraph.Edge{From: 0, To: n + 5, Type: ctgraph.SCBFlow})
+		}},
+		{"negative edge endpoint", func(ex *pic.Example) {
+			ex.G.Edges = append(ex.G.Edges, ctgraph.Edge{From: -1, To: 0, Type: ctgraph.SCBFlow})
+		}},
+		{"short labels", func(ex *pic.Example) { ex.Y = ex.Y[:len(ex.Y)-1] }},
+		{"long labels", func(ex *pic.Example) { ex.Y = append(ex.Y, true) }},
+		{"edge type outside the table", func(ex *pic.Example) {
+			ex.G.Edges = append(ex.G.Edges, ctgraph.Edge{From: 0, To: 0, Type: ctgraph.NumEdgeTypes})
+		}},
+		{"vertex type outside the table", func(ex *pic.Example) { ex.G.Vertices[0].Type = ctgraph.NumVertexTypes }},
+		{"flow labels off the data-flow edges", func(ex *pic.Example) { ex.YFlow = append(ex.YFlow, false) }},
+		{"missing graph", func(ex *pic.Example) { ex.G = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, err := Decode(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(ds.Groups[1].Examples[0])
+			data, err := ds.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode error %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

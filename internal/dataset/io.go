@@ -4,9 +4,19 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
+
+	"snowcat/internal/ctgraph"
 )
+
+// ErrCorrupt reports a decoded dataset whose examples do not fit together:
+// a missing group, example or graph, an edge endpoint outside its graph's
+// vertex list, a vertex or edge type outside its table, or a label slice
+// whose length differs from the population it labels. Such a dataset
+// would otherwise decode cleanly and index-panic inside training.
+var ErrCorrupt = errors.New("dataset: corrupt")
 
 // Encode serialises the dataset with gob+gzip. Datasets are the expensive
 // artifact of the pipeline — the paper spends hundreds of hours collecting
@@ -25,7 +35,8 @@ func (d *Dataset) Encode() ([]byte, error) {
 }
 
 // Decode reconstructs a dataset serialised by Encode, restoring the
-// graphs' internal indices.
+// graphs' internal indices. A dataset whose examples do not fit together
+// fails with an error matching ErrCorrupt.
 func Decode(data []byte) (*Dataset, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -35,12 +46,55 @@ func Decode(data []byte) (*Dataset, error) {
 	if err := gob.NewDecoder(zr).Decode(&d); err != nil {
 		return nil, fmt.Errorf("dataset: decode: %w", err)
 	}
+	if err := d.check(); err != nil {
+		return nil, err
+	}
 	for _, g := range d.Groups {
 		for _, ex := range g.Examples {
 			ex.G.Rebind()
 		}
 	}
 	return &d, nil
+}
+
+// check verifies that every index the training and evaluation paths take
+// from an example stays inside the slice it indexes.
+func (d *Dataset) check() error {
+	for gi, g := range d.Groups {
+		if g == nil {
+			return fmt.Errorf("%w: group %d is missing", ErrCorrupt, gi)
+		}
+		for ei, ex := range g.Examples {
+			if ex == nil || ex.G == nil {
+				return fmt.Errorf("%w: group %d example %d has no graph", ErrCorrupt, gi, ei)
+			}
+			n := len(ex.G.Vertices)
+			if len(ex.Y) != n {
+				return fmt.Errorf("%w: group %d example %d has %d labels for %d vertices", ErrCorrupt, gi, ei, len(ex.Y), n)
+			}
+			for _, v := range ex.G.Vertices {
+				if v.Type >= ctgraph.NumVertexTypes {
+					return fmt.Errorf("%w: group %d example %d has vertex type %d", ErrCorrupt, gi, ei, v.Type)
+				}
+			}
+			interDF := 0
+			for _, e := range ex.G.Edges {
+				if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+					return fmt.Errorf("%w: group %d example %d has edge %d->%d outside %d vertices", ErrCorrupt, gi, ei, e.From, e.To, n)
+				}
+				if e.Type >= ctgraph.NumEdgeTypes {
+					return fmt.Errorf("%w: group %d example %d has edge type %d", ErrCorrupt, gi, ei, e.Type)
+				}
+				if e.Type == ctgraph.InterDF {
+					interDF++
+				}
+			}
+			if ex.YFlow != nil && len(ex.YFlow) != interDF {
+				return fmt.Errorf("%w: group %d example %d has %d flow labels for %d inter-thread data-flow edges", ErrCorrupt, gi, ei, len(ex.YFlow), interDF)
+			}
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the dataset to path.

@@ -282,12 +282,10 @@ func (w *Walk) Run() []Candidate {
 }
 
 // ExecutePlan is the Execute stage: it runs every selected schedule of one
-// CTI through the executor backend on at most workers goroutines (<= 0
-// means 1) and returns the results in selection order, so the output is
-// identical for any worker count. Each result is charged to the ledger —
-// and its hook fired — during the sequential in-order fold. Every
-// registered backend is pinned DeepEqual to the interpreter, so the stage's
-// output does not depend on which one runs it.
+// CTI through the executor on at most workers goroutines (<= 0 means 1)
+// and returns the results in selection order, so the output is identical
+// for any worker count. Each result is charged to the ledger — and its
+// hook fired — during the sequential in-order fold.
 //
 // With res == nil the stage is fail-fast: a failed execution wraps ErrExec
 // alongside the underlying ski error and no charges are recorded. With a

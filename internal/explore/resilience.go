@@ -44,11 +44,11 @@ func NewResilience(inj *faults.Injector, p faults.Policy) (*Resilience, error) {
 }
 
 // Execute runs one candidate through the fault injector and retry loop on
-// the given executor backend, bounding each real execution by the policy's
-// step budget. Fault decisions are pure per-attempt hashes and corruption/
-// validation apply to the returned result, so a chaos schedule is identical
-// for every backend. It mutates nothing shared and is safe to call from
-// pool workers.
+// the given executor, bounding each real execution by the policy's step
+// budget. Fault decisions are pure per-attempt hashes and corruption/
+// validation apply to the returned result, so a chaos schedule does not
+// depend on the executor wrapped. It mutates nothing shared and is safe to
+// call from pool workers.
 func (r *Resilience) Execute(ex Executor, cti ski.CTI, sched ski.Schedule) faults.Report {
 	exec := func(cti ski.CTI, sched ski.Schedule) (*ski.Result, error) {
 		return ex.ExecuteSteps(cti, sched, r.Policy.StepBudget)

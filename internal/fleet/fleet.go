@@ -296,8 +296,8 @@ func (c *Client) Score(g *ctgraph.Graph) []float64 {
 
 // ScoreE is Score with an error channel: a request routed to a killed
 // shard returns an error wrapping ShardDownError instead of panicking,
-// so callers with error plumbing — the remote execution path, external
-// executors — can degrade or retry instead of crashing the round.
+// so callers with error plumbing can degrade or retry instead of
+// crashing the round.
 func (c *Client) ScoreE(g *ctgraph.Graph) ([]float64, error) {
 	rows, err := c.scoreShard(c.shardFor(g), []*ctgraph.Graph{g})
 	if err != nil {

@@ -130,8 +130,8 @@ type Explorer struct {
 	K       *kernel.Kernel
 	Builder *ctgraph.Builder
 	Opts    Options
-	// Exec is the execution backend (see explore.NewExecutor); nil selects
-	// the interpreter, bit-identical to the pre-registry pipeline.
+	// Exec runs the selected schedules; nil selects
+	// explore.DefaultExecutor over the explorer's kernel.
 	Exec explore.Executor
 	// Hooks observes the pipeline stages (see explore.Hooks); nil
 	// disables observation. Hooks fire from the sequential walk and the
@@ -152,7 +152,7 @@ func NewExplorer(k *kernel.Kernel, b *ctgraph.Builder, opts Options) *Explorer {
 	return &Explorer{K: k, Builder: b, Opts: opts}
 }
 
-// executor resolves the configured execution backend, defaulting to the
+// executor resolves the configured executor, defaulting to the
 // interpreter over the explorer's kernel.
 func (e *Explorer) executor() explore.Executor {
 	if e.Exec != nil {

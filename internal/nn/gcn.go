@@ -103,9 +103,8 @@ func (g *RelGraph) Finalize() {
 		if len(edges) == 0 {
 			// Every consumer gates on a non-empty source list before touching
 			// the offsets or norms, so an edgeless relation needs no CSR at
-			// all — only a zero-length source marker. Skipping the offset and
-			// norm fills makes sparse rebuilds (the fused sweep's per-schedule
-			// hint deltas, which populate 2 of 14 relations) near-free.
+			// all — only a zero-length source marker — and skips the offset
+			// and norm fills (the IRQ relations of most CT graphs are empty).
 			g.csrSrc[r] = g.csrSrc[r][:0]
 			continue
 		}
@@ -268,87 +267,6 @@ func (l *GCNLayer) Infer(g *RelGraph, h, out, agg *tensor.Matrix) {
 			// then multiply the one gathered row into out immediately.
 			tensor.GatherScaledInto(buf, norm[d], h.Data, l.In, src[lo:hi])
 			tensor.MulAddRowInto(out.Row(d), buf, w)
-		}
-	}
-	out.ReLUInPlace(nil)
-}
-
-// InferStacked is Infer over a batch of K graphs that share one adjacency
-// skeleton, laid out as K stacked row blocks: h and out are (K·n)×In and
-// (K·n)×Out, with graph j occupying rows [j·n, (j+1)·n).
-//
-// The adjacency is split in two. shared holds the relations whose edges are
-// identical for every stacked graph (finalized once, walked K times with a
-// per-graph row offset); deltas[j] holds graph j's private relations (its
-// scheduling-hint edges, in the CT-graph use). The two parts must be
-// disjoint per relation — for every relation r with edges in deltas[j],
-// shared must carry no edges — so each destination row's in-edges come from
-// exactly one side and both its gather chain and its 1/in-degree norm match
-// the monolithic graph's. Under that contract every output row is
-// bit-identical to a per-graph Infer over the full adjacency: the self term
-// is row-independent, relations are applied in the same ascending order,
-// and each visited row accumulates the same gathered buffer through the
-// same MulAddRowInto call. A nil deltas entry means graph j has no private
-// edges.
-func (l *GCNLayer) InferStacked(shared *RelGraph, deltas []*RelGraph, h, out, agg *tensor.Matrix) {
-	if !shared.finalized {
-		panic("nn: GCNLayer.InferStacked on a RelGraph that was not finalized")
-	}
-	k := len(deltas)
-	n := shared.NumNodes
-	if h.Rows != k*n || out.Rows != k*n {
-		panic("nn: GCNLayer.InferStacked stacked shape mismatch")
-	}
-	for _, dg := range deltas {
-		if dg == nil {
-			continue
-		}
-		if !dg.finalized {
-			panic("nn: GCNLayer.InferStacked delta RelGraph not finalized")
-		}
-		if dg.NumNodes != n {
-			panic("nn: GCNLayer.InferStacked delta node count differs from shared")
-		}
-	}
-	tensor.MulInto(out, h, l.WSelf.Matrix())
-	out.AddRowVec(l.B.Val)
-	var buf []float64
-	if len(agg.Data) >= l.In {
-		buf = agg.Data[:l.In]
-	}
-	for r := range l.WRel {
-		w := l.WRel[r].Matrix()
-		if r < shared.NumRel() && len(shared.csrSrc[r]) > 0 {
-			off, src, norm := shared.csrOff[r], shared.csrSrc[r], shared.Norm[r]
-			for j := 0; j < k; j++ {
-				hd := h.Data[j*n*l.In:]
-				for d := 0; d < n; d++ {
-					lo, hi := off[d], off[d+1]
-					if lo == hi {
-						continue
-					}
-					tensor.GatherScaledInto(buf, norm[d], hd, l.In, src[lo:hi])
-					tensor.MulAddRowInto(out.Row(j*n+d), buf, w)
-				}
-			}
-		}
-		for j, dg := range deltas {
-			if dg == nil || r >= dg.NumRel() || len(dg.csrSrc[r]) == 0 {
-				continue
-			}
-			if r < shared.NumRel() && len(shared.csrSrc[r]) > 0 {
-				panic("nn: GCNLayer.InferStacked relation present in both shared and delta adjacency")
-			}
-			off, src, norm := dg.csrOff[r], dg.csrSrc[r], dg.Norm[r]
-			hd := h.Data[j*n*l.In:]
-			for d := 0; d < n; d++ {
-				lo, hi := off[d], off[d+1]
-				if lo == hi {
-					continue
-				}
-				tensor.GatherScaledInto(buf, norm[d], hd, l.In, src[lo:hi])
-				tensor.MulAddRowInto(out.Row(j*n+d), buf, w)
-			}
 		}
 	}
 	out.ReLUInPlace(nil)

@@ -27,7 +27,6 @@ import (
 	"snowcat/internal/kernel"
 	"snowcat/internal/nn"
 	"snowcat/internal/parallel"
-	"snowcat/internal/ski"
 	"snowcat/internal/tensor"
 	"snowcat/internal/xrand"
 )
@@ -234,18 +233,10 @@ func relGraphInto(rg *nn.RelGraph, g *ctgraph.Graph) *nn.RelGraph {
 type BaseContext struct {
 	base   *ctgraph.Base
 	static *tensor.Matrix // NumVertices×Dim: encoder + vertex-type rows
-	// rg is the static adjacency: the CSR of every schedule-independent
-	// relation (all edge populations except Hint and IRQ, which an empty
-	// schedule leaves unpopulated). The fused sweep walks it once per
-	// relation for a whole block of schedules instead of rebuilding the
-	// full adjacency per schedule; per-schedule Hint edges ride in tiny
-	// delta adjacencies (see PredictAllFused). Read-only after build.
-	rg *nn.RelGraph
 }
 
 // NewBaseContext precomputes the schedule-independent feature rows for
-// every vertex of base, plus the static adjacency the fused sweep shares
-// across schedules.
+// every vertex of base.
 func (m *Model) NewBaseContext(base *ctgraph.Base, tc *TokenCache) *BaseContext {
 	static := tensor.New(base.NumVertices(), m.Cfg.Dim)
 	for i, v := range base.Vertices() {
@@ -253,8 +244,7 @@ func (m *Model) NewBaseContext(base *ctgraph.Base, tc *TokenCache) *BaseContext 
 		m.Enc.EncodeInto(tc.IDs[v.Block], row)
 		tensor.AXPY(1, m.VType.Row(int(v.Type)), row)
 	}
-	return &BaseContext{base: base, static: static,
-		rg: relGraph(base.WithSchedule(ski.Schedule{}))}
+	return &BaseContext{base: base, static: static}
 }
 
 // featCache carries the feature-assembly intermediates the backward pass
@@ -436,7 +426,6 @@ type Scratch struct {
 	x, h   *tensor.Matrix
 	agg    *tensor.Matrix
 	logits *tensor.Matrix
-	deltas []*nn.RelGraph // fused sweep: per-schedule hint adjacencies
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use and are

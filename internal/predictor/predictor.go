@@ -141,12 +141,10 @@ func (p *PIC) BeginCTI(base *ctgraph.Base) { p.bc = p.Model.NewBaseContext(base,
 func (p *PIC) EndCTI() { p.bc = nil }
 
 // ScoreBatch implements BatchScorer via the model's scratch-reusing
-// parallel inference path. With an active per-CTI context (BeginCTI),
-// runs of schedules sharing the context's base fuse into stacked passes
-// (pic.PredictAllFused) — bit-identical to the per-graph path, just
-// cheaper; without a context it degrades to the plain batched path.
+// parallel inference path (pic.PredictAllCtx), reusing the per-CTI context
+// of an active BeginCTI. Scores are bit-identical to Score's.
 func (p *PIC) ScoreBatch(gs []*ctgraph.Graph, workers int) [][]float64 {
-	return p.Model.PredictAllFused(gs, p.TC, workers, p.bc)
+	return p.Model.PredictAllCtx(gs, p.TC, workers, p.bc)
 }
 
 // AllPos predicts every vertex positive.

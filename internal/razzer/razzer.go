@@ -135,15 +135,15 @@ type Finder struct {
 	// PICSchedules is how many random schedules Razzer-PIC asks the model
 	// about per candidate (the paper checks "some random schedules").
 	PICSchedules int
-	// Exec is the execution backend for reproduction runs (see
-	// explore.NewExecutor); nil selects the interpreter.
+	// Exec runs the reproduction executions; nil selects
+	// explore.DefaultExecutor over the finder's kernel.
 	Exec explore.Executor
 
 	// led accumulates the finder's inference and execution counts.
 	led *explore.Ledger
 }
 
-// executor resolves the configured execution backend, defaulting to the
+// executor resolves the configured executor, defaulting to the
 // interpreter over the finder's kernel.
 func (f *Finder) executor() explore.Executor {
 	if f.Exec != nil {

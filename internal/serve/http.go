@@ -72,7 +72,7 @@ type errorResponse struct {
 }
 
 // EncodeGraph converts a graph to its wire form (the client half of the
-// protocol; loadgen and remote executors use it).
+// protocol; loadgen uses it).
 func EncodeGraph(g *ctgraph.Graph) WireGraph {
 	w := WireGraph{
 		Vertices: make([]WireVertex, len(g.Vertices)),
@@ -185,8 +185,6 @@ func DecodeRequest(data []byte, numBlocks int) (*PredictRequest, error) {
 //	POST /v1/predict     — score CT graphs (PredictRequest → PredictResponse)
 //	POST /v1/predict_cti — score raw (CTI, schedules); the shard profiles
 //	                       and builds the graphs itself (PredictCTIRequest)
-//	POST /v1/execute_cti — execute raw (CTI, schedules) on the shard's
-//	                       simulator (ExecuteCTIRequest → ExecuteCTIResponse)
 //	GET  /v1/models      — list registered model versions
 //	GET  /healthz        — liveness + active model
 //	GET  /statsz         — ledger-style serving counters
@@ -194,7 +192,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	mux.HandleFunc("POST /v1/predict_cti", s.handlePredictCTI)
-	mux.HandleFunc("POST /v1/execute_cti", s.handleExecuteCTI)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)

@@ -514,13 +514,10 @@ func (s *Server) serveOne(req *Request, scratches []*pic.Scratch) (*Response, er
 }
 
 // score runs the inference fan-out for one batch: per-worker scratch
-// arenas, per-graph BaseContexts from the LRU (graphs without a Base — or
-// from another kernel era — predict without one; slow, never wrong).
-// Consecutive graphs sharing one context fuse into stacked passes of up to
-// pic.FuseBlock schedules (the coalescer often batches many schedules of
-// one CTI); the rest score per graph. The output is bit-identical to
-// pic.Model.PredictAllCtx over the same graphs at any worker count and any
-// fused/fallback mix.
+// arenas and per-graph BaseContexts from the LRU (graphs without a Base —
+// or from another kernel era — predict without one; slow, never wrong).
+// The output is bit-identical to pic.Model.PredictAllCtx over the same
+// graphs at any worker count.
 func (s *Server) score(snap *Snapshot, gs []*ctgraph.Graph, scratches []*pic.Scratch) [][]float64 {
 	bcs := make([]*pic.BaseContext, len(gs))
 	for i, g := range gs {
@@ -528,48 +525,12 @@ func (s *Server) score(snap *Snapshot, gs []*ctgraph.Graph, scratches []*pic.Scr
 			bcs[i] = s.cache.Get(snap, base)
 		}
 	}
-
-	// Partition into spans: fused runs over one shared context, and
-	// per-graph fallback runs for everything else.
-	type span struct {
-		lo, hi int
-		bc     *pic.BaseContext // non-nil iff the span is fused
-	}
-	var spans []span
-	for i := 0; i < len(gs); {
-		if bc := bcs[i]; bc != nil && snap.Model.Fusable(gs[i], bc) {
-			hi := i + 1
-			for hi < len(gs) && hi-i < pic.FuseBlock && bcs[hi] == bc && snap.Model.Fusable(gs[hi], bc) {
-				hi++
-			}
-			spans = append(spans, span{lo: i, hi: hi, bc: bc})
-			i = hi
-		} else {
-			hi := i + 1
-			for hi < len(gs) && !(bcs[hi] != nil && snap.Model.Fusable(gs[hi], bcs[hi])) {
-				hi++
-			}
-			spans = append(spans, span{lo: i, hi: hi})
-			i = hi
-		}
-	}
-
 	w := parallel.Workers(s.cfg.Workers)
 	if w > len(scratches) {
 		w = len(scratches)
 	}
-	out := make([][]float64, len(gs))
-	// Each span owns a disjoint index range of out, so workers never race.
-	_, err := parallel.MapWorkers(w, len(spans), func(worker, si int) (struct{}, error) {
-		sp := spans[si]
-		if sp.bc != nil {
-			snap.Model.PredictFusedBlock(out[sp.lo:sp.hi], gs[sp.lo:sp.hi], snap.TC, scratches[worker], sp.bc)
-		} else {
-			for i := sp.lo; i < sp.hi; i++ {
-				out[i] = snap.Model.PredictInto(nil, gs[i], snap.TC, scratches[worker], bcs[i])
-			}
-		}
-		return struct{}{}, nil
+	out, err := parallel.MapWorkers(w, len(gs), func(worker, i int) ([]float64, error) {
+		return snap.Model.PredictInto(nil, gs[i], snap.TC, scratches[worker], bcs[i]), nil
 	})
 	if err != nil {
 		panic(err) // only a worker panic can land here; re-raise it

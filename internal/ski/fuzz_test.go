@@ -125,50 +125,6 @@ func FuzzExecute(f *testing.F) {
 	})
 }
 
-// compiledFixture lazily compiles the shared exec fixture's kernel; the
-// Program is immutable and shared across all fuzz iterations.
-var compiledFixture struct {
-	once sync.Once
-	p    *sim.Program
-}
-
-func loadCompiledFixture(tb testing.TB) *sim.Program {
-	k, _ := loadExecFixture(tb)
-	compiledFixture.once.Do(func() { compiledFixture.p = sim.Compile(k) })
-	return compiledFixture.p
-}
-
-// FuzzCompiledExecute mirrors FuzzExecute for the compiled direct-threaded
-// executor, and tightens it into a differential test: on every hostile
-// schedule and step budget, the compiled run must produce a result
-// DeepEqual to the interpreter's — or fail with the identical error text.
-func FuzzCompiledExecute(f *testing.F) {
-	f.Add([]byte{}, int32(0))
-	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 0}, int32(0))
-	f.Add([]byte{2, 255, 255, 255, 255, 9, 0, 0, 0, 1, 7, 0, 0, 0, 1, 0, 0, 0}, int32(17))
-	f.Add([]byte{1, 3, 0, 0, 0, 4, 0, 0, 0}, int32(1))
-	f.Fuzz(func(t *testing.T, data []byte, rawLimit int32) {
-		k, cti := loadExecFixture(t)
-		p := loadCompiledFixture(t)
-		sched := scheduleFromBytes(data)
-		limit := int(uint32(rawLimit) % 4096) // 0 keeps the global bound
-		want, werr := ExecuteSteps(k, cti, sched, limit)
-		got, gerr := ExecuteCompiledSteps(p, cti, sched, limit)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("limit=%d: interpreter err = %v, compiled err = %v", limit, werr, gerr)
-		}
-		if werr != nil {
-			if werr.Error() != gerr.Error() {
-				t.Fatalf("limit=%d: error text diverged:\n  interp:   %v\n  compiled: %v", limit, werr, gerr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("limit=%d: compiled result diverged from interpreter", limit)
-		}
-	})
-}
-
 // TestScheduleKeySingleAlloc pins the key builder's preallocated pass: one
 // allocation (the final string) per call.
 func TestScheduleKeySingleAlloc(t *testing.T) {

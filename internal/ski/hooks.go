@@ -23,7 +23,7 @@ const (
 	HookPreempt
 )
 
-// ExecHooks are in-executor scheduling hook points, the eBPF-style
+// ExecHooks are scheduling hook points inside the executor, the eBPF-style
 // mid-run steering seam (DESIGN.md §14): instead of only pre-planning
 // hints, a caller can observe the interleaving as it unfolds and preempt
 // at block boundaries. Amplify's mid-run perturbation mode is the first
@@ -41,31 +41,16 @@ type ExecHooks struct {
 	SchedulePoint func(thread int32, ref sim.InstrRef, step int) HookAction
 }
 
-// ExecuteHooked is ExecuteSteps with in-run schedule-point hooks. A nil
-// hooks (or nil SchedulePoint) is bit-identical to ExecuteSteps.
+// ExecuteHooked is ExecuteSteps with in-run schedule-point hooks. With nil
+// hooks (or a nil SchedulePoint) the pre-planned hints alone steer the run.
 func ExecuteHooked(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
 	}
 	m := sim.NewMachine(k)
 	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
+	return runSchedule(k, cti, sched, [2]*sim.Thread{
 		sim.NewThread(m, 0, cti.A.Calls),
 		sim.NewThread(m, 1, cti.B.Calls),
-	}, hooks)
-}
-
-// ExecuteCompiledHooked is ExecuteCompiledSteps with in-run schedule-point
-// hooks, the compiled counterpart of ExecuteHooked.
-func ExecuteCompiledHooked(p *sim.Program, cti CTI, sched Schedule, stepLimit int, hooks *ExecHooks) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
-	}
-	k := p.Kernel()
-	m := sim.NewMachine(k)
-	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewCThread(p, m, 0, cti.A.Calls),
-		sim.NewCThread(p, m, 1, cti.B.Calls),
 	}, hooks)
 }

@@ -9,7 +9,6 @@ import (
 
 func TestHookedNilMatchesExecute(t *testing.T) {
 	k, g := fixture(51)
-	p := sim.Compile(k)
 	cti, pa, pb := mkCTI(t, k, g)
 	s := NewSampler(pa, pb, 7)
 	for i := 0; i < 10; i++ {
@@ -25,13 +24,6 @@ func TestHookedNilMatchesExecute(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("schedule %d: ExecuteHooked(hooks=%v) diverges from Execute", i, hooks)
-			}
-			got, err = ExecuteCompiledHooked(p, cti, sched, 0, hooks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("schedule %d: ExecuteCompiledHooked(hooks=%v) diverges from Execute", i, hooks)
 			}
 		}
 	}
@@ -67,7 +59,6 @@ func TestHookContinueIsInvisible(t *testing.T) {
 
 func TestHookPreemptSwitches(t *testing.T) {
 	k, g := fixture(57)
-	p := sim.Compile(k)
 	cti, _, _ := mkCTI(t, k, g)
 	base, err := Execute(k, cti, Schedule{})
 	if err != nil {
@@ -93,20 +84,13 @@ func TestHookPreemptSwitches(t *testing.T) {
 	if r1.HintsFired != 0 {
 		t.Fatalf("hook preemptions counted as hints: %d", r1.HintsFired)
 	}
-	// Deterministic, and identical through the compiled executor.
+	// Deterministic.
 	r2, err := ExecuteHooked(k, cti, Schedule{}, 0, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("hooked execution not deterministic")
-	}
-	rc, err := ExecuteCompiledHooked(p, cti, Schedule{}, 0, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, rc) {
-		t.Fatal("compiled hooked execution diverges from interpreter")
 	}
 }
 

@@ -205,54 +205,13 @@ func Execute(k *kernel.Kernel, cti CTI, sched Schedule) (*Result, error) {
 // schedule is validated up front so a corrupted schedule degrades to an
 // ErrBadSchedule-wrapped error instead of an index panic on a pool worker.
 func ExecuteSteps(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
-	}
-	m := sim.NewMachine(k)
-	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewThread(m, 0, cti.A.Calls),
-		sim.NewThread(m, 1, cti.B.Calls),
-	}, nil)
+	return ExecuteHooked(k, cti, sched, stepLimit, nil)
 }
 
-// ExecuteCompiled is Execute through the compiled direct-threaded executor:
-// p is the CTI's kernel compiled once with sim.Compile, amortised across
-// every execution of that kernel version. Results are pinned DeepEqual to
-// Execute on all inputs (TestCompiledMatchesInterpreter,
-// FuzzCompiledExecute).
-func ExecuteCompiled(p *sim.Program, cti CTI, sched Schedule) (*Result, error) {
-	return ExecuteCompiledSteps(p, cti, sched, 0)
-}
-
-// ExecuteCompiledSteps is ExecuteCompiled with ExecuteSteps' budget knob.
-func ExecuteCompiledSteps(p *sim.Program, cti CTI, sched Schedule, stepLimit int) (*Result, error) {
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
-	}
-	k := p.Kernel()
-	m := sim.NewMachine(k)
-	m.Limit = stepLimit
-	return runSchedule(k, cti, sched, [2]execThread{
-		sim.NewCThread(p, m, 0, cti.A.Calls),
-		sim.NewCThread(p, m, 1, cti.B.Calls),
-	}, nil)
-}
-
-// execThread is the scheduler's view of a kernel thread; both the
-// reference interpreter (sim.Thread) and the compiled executor
-// (sim.CThread) satisfy it.
-type execThread interface {
-	State() sim.ThreadState
-	Step() (sim.Event, error)
-	InjectIRQ(fn int32)
-}
-
-// runSchedule is the executor core shared by the interpreted and compiled
-// paths: the SKI uniprocessor scheduling loop over two pre-built threads.
-// hooks may be nil (the pre-planned-hints-only fast path, bit-identical to
-// the pre-hook executor).
-func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThread, hooks *ExecHooks) (*Result, error) {
+// runSchedule is the executor core: the SKI uniprocessor scheduling loop
+// over two pre-built threads. hooks may be nil (the pre-planned-hints-only
+// path, bit-identical to the pre-hook executor).
+func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]*sim.Thread, hooks *ExecHooks) (*Result, error) {
 	res := &Result{Covered: make([]bool, k.NumBlocks())}
 	res.CoveredBy[0] = make([]bool, k.NumBlocks())
 	res.CoveredBy[1] = make([]bool, k.NumBlocks())
@@ -269,9 +228,8 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]execThrea
 	globalStep := 0
 
 	// Done-ness is monotone and a thread only finishes during its own Step,
-	// so it is tracked in flags instead of re-querying State() — the
-	// per-step State() calls are the scheduler's hottest interface
-	// dispatches.
+	// so it is tracked in flags instead of re-querying State() on the
+	// other thread every step.
 	var done [2]bool
 	done[0] = threads[0].State() == sim.Done
 	done[1] = threads[1].State() == sim.Done

@@ -225,9 +225,8 @@ func ExploreR(k *kernel.Kernel, m Member, c *Cluster, bugID int32, extraSchedule
 	return ExploreX(explore.DefaultExecutor(k), m, c, bugID, extraSchedules, seed, res, led, hooks)
 }
 
-// ExploreX is ExploreR on an explicit execution backend (see
-// explore.NewExecutor). Every registered backend is pinned DeepEqual to the
-// interpreter, so the hit/exec/error outcome is identical to ExploreR.
+// ExploreX is ExploreR on an explicit executor, such as a wrapper around
+// explore.DefaultExecutor. ExploreR is ExploreX on the interpreter.
 func ExploreX(ex explore.Executor, m Member, c *Cluster, bugID int32, extraSchedules int, seed uint64,
 	res *explore.Resilience, led *explore.Ledger, hooks *explore.Hooks) (bool, int, error) {
 

@@ -9,10 +9,10 @@ import (
 	"sync"
 )
 
-// ErrUnknownBackend reports a registry lookup for a strategy name nothing
-// registered under — the strategy mirror of explore.ErrUnknownBackend.
-// Lookup errors wrap it together with the requested name.
-var ErrUnknownBackend = errors.New("unknown backend")
+// ErrUnknownStrategy reports a registry lookup for a strategy name nothing
+// registered under. Lookup errors wrap it together with the requested
+// name.
+var ErrUnknownStrategy = errors.New("unknown strategy")
 
 // Factory builds a strategy from the optional argument following the
 // registered name in a spec ("s3:2" passes "2"); a spec with no colon
@@ -24,9 +24,9 @@ var registry = struct {
 	factories map[string]Factory
 }{factories: make(map[string]Factory)}
 
-// Register adds a named strategy factory. Like explore.RegisterExecutor,
-// registration happens in init functions, so a duplicate name is a
-// programming error and panics with the conflicting name.
+// Register adds a named strategy factory. Registration happens in init
+// functions, so a duplicate name is a programming error and panics with
+// the conflicting name.
 func Register(name string, f Factory) {
 	if name == "" || f == nil {
 		panic("strategy: Register with empty name or nil factory")
@@ -44,7 +44,7 @@ func Register(name string, f Factory) {
 
 // New builds a strategy from its spec: a registered name, optionally
 // followed by ":" and a factory argument ("s1", "s3:2"). An unregistered
-// name returns an error wrapping ErrUnknownBackend with the requested name
+// name returns an error wrapping ErrUnknownStrategy with the requested name
 // and the registered alternatives.
 func New(spec string) (Strategy, error) {
 	name, arg := spec, ""
@@ -56,7 +56,7 @@ func New(spec string) (Strategy, error) {
 	registry.Unlock()
 	if f == nil {
 		return nil, fmt.Errorf("strategy: %w: strategy %q (registered: %v)",
-			ErrUnknownBackend, name, Names())
+			ErrUnknownStrategy, name, Names())
 	}
 	s, err := f(arg)
 	if err != nil {

@@ -42,12 +42,12 @@ func TestNewSpecs(t *testing.T) {
 	}
 }
 
-// TestNewUnknown pins the lookup error contract: ErrUnknownBackend wrapped
+// TestNewUnknown pins the lookup error contract: ErrUnknownStrategy wrapped
 // with the requested name and the registered alternatives.
 func TestNewUnknown(t *testing.T) {
 	_, err := New("s9")
-	if !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("error %v does not wrap ErrUnknownBackend", err)
+	if !errors.Is(err, ErrUnknownStrategy) {
+		t.Fatalf("error %v does not wrap ErrUnknownStrategy", err)
 	}
 	if msg := err.Error(); !strings.Contains(msg, `"s9"`) || !strings.Contains(msg, "s1") {
 		t.Fatalf("error %q must name the requested strategy and the registered ones", msg)

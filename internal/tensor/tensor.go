@@ -124,9 +124,9 @@ func MulAddInto(dst, a, b *Matrix) {
 
 // MulAddRowInto computes dst += a·b for a single coefficient row: dst has
 // length b.Cols, a has length b.Rows. It is the row-granular MulAddInto
-// the fused GCN aggregation uses (gather one destination row, multiply it
-// into the output immediately); the accumulation order per dst element is
-// identical to MulAddInto's, so using either is bit-neutral.
+// the GCN aggregation (nn.GCNLayer.Infer) uses: gather one destination
+// row, multiply it into the output immediately. The accumulation order per
+// dst element is identical to MulAddInto's, so using either is bit-neutral.
 func MulAddRowInto(dst, a []float64, b *Matrix) {
 	if len(a) != b.Rows || len(dst) != b.Cols {
 		panic("tensor: MulAddRowInto shape mismatch")

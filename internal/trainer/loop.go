@@ -26,7 +26,7 @@ type LoopConfig struct {
 	Opts    mlpct.Options
 	Cost    campaign.CostModel
 	Strat   strategy.Strategy
-	// Exec is the execution backend; nil selects the interpreter.
+	// Exec runs the executions; nil selects explore.DefaultExecutor.
 	Exec explore.Executor
 	// Parallel bounds the worker pools (profiling, scoring, execution,
 	// stream labelling); the result is identical at every width.
