@@ -50,7 +50,7 @@ func TestCampaignHistoryAcrossBackends(t *testing.T) {
 	}
 	srv := serve.New(reg, serve.Config{Sync: true, Workers: 2})
 	t.Cleanup(func() { srv.Close() })
-	fl, err := fleet.New(f.k, f.m, f.tc, fleet.Config{Shards: 2, Sync: true})
+	fl, err := fleet.New(f.k, f.m, f.tc, fleet.Config{Shards: 2, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,13 @@ package main
 import (
 	"errors"
 	"flag"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"snowcat/internal/serve"
 )
 
 // TestSharedFlagSets pins the deduplicated flag registration: every
@@ -43,7 +46,6 @@ func TestSharedFlagSets(t *testing.T) {
 		{"snowboard", cmdSnowboard, [][]string{parallel, chaos}},
 		{"serve", cmdServe, [][]string{parallel, serving}},
 		{"loadgen", cmdLoadgen, [][]string{parallel, serving}},
-		{"fleet", cmdFleet, nil},
 		{"learn", cmdLearn, [][]string{parallel, chaos}},
 		{"amplify", cmdAmplify, [][]string{parallel}},
 	}
@@ -62,44 +64,50 @@ func TestSharedFlagSets(t *testing.T) {
 }
 
 // TestCmdServeLoadgen drives the serving CLI end to end: a timed serve
-// run, then an in-process loadgen burst that must finish with zero failed
-// requests.
+// run; loadgen -addr against the server serve builds, which must score
+// CTI requests; loadgen against an in-process one-shard fleet, and against
+// a 2-shard fleet once undisturbed and once with a mid-run shard
+// kill/restart (recovery verification required) — every run but the
+// chaos one must finish with zero failed requests — plus the flag
+// rejections.
 func TestCmdServeLoadgen(t *testing.T) {
 	if err := cmdServe([]string{"-seed", "3", "-addr", "127.0.0.1:0", "-duration", "100ms"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdLoadgen([]string{"-seed", "3", "-clients", "2", "-requests", "10", "-batch", "2"}); err != nil {
+	s, _, err := newServerFromFlags(3, "small", "", func() serve.Config { return serve.Config{} })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdLoadgen([]string{"-seed", "3", "-clients", "2", "-requests", "20", "-batch", "2", "-rate", "400"}); err != nil {
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := cmdLoadgen([]string{"-seed", "3", "-addr", ts.URL, "-ctis", "4", "-clients", "2",
+		"-requests", "20", "-schedules", "2", "-rate", "400"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdLoadgen([]string{"-clients", "0"}); err == nil {
-		t.Fatal("non-positive -clients accepted")
+	if err := cmdLoadgen([]string{"-seed", "3", "-ctis", "4", "-clients", "2",
+		"-requests", "20", "-schedules", "2", "-rate", "400"}); err != nil {
+		t.Fatal(err)
 	}
-	if err := cmdLoadgen([]string{"-rate", "-1"}); err == nil {
-		t.Fatal("negative -rate accepted")
-	}
-}
-
-// TestCmdFleet drives the fleet CLI end to end: a 2-shard in-process fleet
-// under open-loop ring-routed HTTP traffic, once undisturbed (zero failed
-// requests required) and once with a mid-run shard kill/restart (recovery
-// verification required), plus the flag rejections.
-func TestCmdFleet(t *testing.T) {
-	if err := cmdFleet([]string{"-seed", "4", "-shards", "2", "-ctis", "6",
+	if err := cmdLoadgen([]string{"-seed", "4", "-shards", "2", "-ctis", "6",
 		"-requests", "40", "-rate", "500", "-clients", "8", "-schedules", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdFleet([]string{"-seed", "4", "-shards", "2", "-ctis", "6",
+	if err := cmdLoadgen([]string{"-seed", "4", "-shards", "2", "-ctis", "6",
 		"-requests", "40", "-rate", "500", "-clients", "8", "-schedules", "1", "-kill", "0"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdFleet([]string{"-shards", "0"}); err == nil {
-		t.Fatal("non-positive -shards accepted")
-	}
-	if err := cmdFleet([]string{"-shards", "2", "-kill", "5"}); err == nil {
-		t.Fatal("-kill outside the fleet accepted")
+	for _, args := range [][]string{
+		{"-clients", "0"},
+		{"-rate", "-1"},
+		{"-shards", "0"},
+		{"-shards", "2", "-kill", "5"},
+		{"-addr", ts.URL, "-shards", "2"},
+		{"-addr", ts.URL, "-kill", "0"},
+	} {
+		if err := cmdLoadgen(args); err == nil {
+			t.Fatalf("loadgen %v accepted", args)
+		}
 	}
 }
 

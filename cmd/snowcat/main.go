@@ -17,9 +17,8 @@
 //	razzer     — reproduce planted races with the Razzer variants (§5.6.1)
 //	snowboard  — compare cluster exemplar samplers (§5.6.2)
 //	serve      — run the batching prediction server (see internal/serve)
-//	loadgen    — drive open- or closed-loop load at a prediction server
-//	fleet      — run an in-process sharded fleet under open-loop load
-//	             (ring-routed HTTP traffic, optional chaos kill/restart)
+//	loadgen    — drive open-loop /v1/predict_cti load at a server or at
+//	             an in-process sharded fleet (optional chaos kill/restart)
 //
 // Every subcommand is deterministic given its -seed flag.
 package main
@@ -53,8 +52,7 @@ func init() {
 		{"snowboard", "compare cluster exemplar samplers", cmdSnowboard},
 		{"trace", "print an annotated interleaving timeline", cmdTrace},
 		{"serve", "run the batching prediction server (HTTP JSON API)", cmdServe},
-		{"loadgen", "drive load at a prediction server and report latency", cmdLoadgen},
-		{"fleet", "run an in-process sharded fleet under open-loop load", cmdFleet},
+		{"loadgen", "drive open-loop load at a server or in-process fleet", cmdLoadgen},
 	}
 }
 

@@ -421,7 +421,7 @@ func (base *Base) WithSchedule(sched ski.Schedule) *Graph {
 		}
 		g.vidx = vidx
 		for _, q := range sched.IRQs {
-			if int(q.IRQ) >= len(b.K.IRQs) {
+			if q.IRQ < 0 || int(q.IRQ) >= len(b.K.IRQs) {
 				continue
 			}
 			fn := b.K.Func(b.K.IRQs[q.IRQ].Fn)

@@ -14,8 +14,6 @@ import (
 // timing probes, see every execution, and `make lint` keeps the pipeline
 // consumers from calling ski.Execute* past it.
 type Executor interface {
-	// Name is the backend's name.
-	Name() string
 	// Kernel returns the kernel the executor is bound to (the fault layer
 	// validates results against it).
 	Kernel() *kernel.Kernel
@@ -49,7 +47,6 @@ type interpExecutor struct {
 	k *kernel.Kernel
 }
 
-func (e interpExecutor) Name() string           { return "interp" }
 func (e interpExecutor) Kernel() *kernel.Kernel { return e.k }
 
 func (e interpExecutor) Execute(cti ski.CTI, sched ski.Schedule) (*ski.Result, error) {

@@ -7,6 +7,7 @@ import (
 
 	"snowcat/internal/kernel"
 	"snowcat/internal/pic"
+	"snowcat/internal/serve"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
 )
@@ -69,7 +70,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d/clients=%d", shards, benchClients), func(b *testing.B) {
 			f, err := New(fb.k, fb.m, fb.tc, Config{
-				Shards: shards, StationSize: benchStationSize, Sync: true,
+				Shards: shards, Serve: serve.Config{StationSize: benchStationSize, Sync: true},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -80,7 +81,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 			do := func(i int) error {
 				idx := i % benchCTIs
 				_, err := f.Server(shardOf(i)).PredictCTI(
-					context.Background(), fb.ctis[idx], fb.scheds[idx], true)
+					context.Background(), fb.ctis[idx], fb.scheds[idx], serve.Request{Wait: true})
 				return err
 			}
 

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
@@ -38,16 +37,9 @@ type Config struct {
 	// Replicas is the ring's virtual-node count per shard;
 	// <= 0 selects serve.DefaultReplicas.
 	Replicas int
-	// StationSize bounds each shard's CTI station LRU; <= 0 selects 64.
-	StationSize int
-	// CacheSize bounds each shard's BaseContext LRU; <= 0 selects 64.
-	CacheSize int
-	// MaxBatch/MaxWait tune each shard's coalescer; zero values select the
-	// serve defaults.
-	MaxBatch int
-	MaxWait  time.Duration
-	// Sync runs each shard's server in deterministic synchronous mode.
-	Sync bool
+	// Serve configures every shard's server. Its Kernel is ignored: each
+	// shard's station always runs on the fleet's kernel.
+	Serve serve.Config
 }
 
 // Fleet is an in-process shard group: one serve.Server per shard, all
@@ -100,14 +92,9 @@ func (f *Fleet) newShard() (*serve.Server, error) {
 	if _, err := reg.Activate(f.version); err != nil {
 		return nil, fmt.Errorf("fleet: shard registry: %w", err)
 	}
-	return serve.New(reg, serve.Config{
-		Kernel:      f.k,
-		StationSize: f.cfg.StationSize,
-		CacheSize:   f.cfg.CacheSize,
-		MaxBatch:    f.cfg.MaxBatch,
-		MaxWait:     f.cfg.MaxWait,
-		Sync:        f.cfg.Sync,
-	}), nil
+	cfg := f.cfg.Serve
+	cfg.Kernel = f.k
+	return serve.New(reg, cfg), nil
 }
 
 // Ring returns the fleet's routing table.
@@ -254,7 +241,7 @@ var (
 func (f *Fleet) Client(label string) *Client { return &Client{f: f, Label: label} }
 
 // shardFor routes a graph: by its base's CTI when it has one, shard 0
-// otherwise (baseless wire graphs carry no identity to route by).
+// otherwise (a graph without a base carries no identity to route by).
 func (c *Client) shardFor(g *ctgraph.Graph) int {
 	if b := g.BaseOf(); b != nil {
 		return c.f.ring.Shard(b.CTI.ID)

@@ -17,6 +17,7 @@ import (
 	"snowcat/internal/pic"
 	"snowcat/internal/predictor"
 	"snowcat/internal/razzer"
+	"snowcat/internal/serve"
 	"snowcat/internal/ski"
 	"snowcat/internal/snowboard"
 	"snowcat/internal/strategy"
@@ -68,7 +69,7 @@ func TestCoordinatorMatchesDirectAtAnyShardCount(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			f, err := New(k, m, tc, Config{Shards: shards, Sync: true})
+			f, err := New(k, m, tc, Config{Shards: shards, Serve: serve.Config{Sync: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +140,7 @@ func TestCoordinatorSurvivesChaosShardLoss(t *testing.T) {
 		t.Fatalf("chaos seed %d rate %v kills no shards; pick a seed that does", chaosSeed, chaosRate)
 	}
 
-	f, err := New(k, m, tc, Config{Shards: shards, Sync: true})
+	f, err := New(k, m, tc, Config{Shards: shards, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 		return &Coordinator{Fleet: f, Runner: r, Campaign: conf, RoundSize: 2, CheckpointPath: path}
 	}
 
-	f1, err := New(k, m, tc, Config{Shards: 2, Sync: true})
+	f1, err := New(k, m, tc, Config{Shards: 2, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 
 	// Resume on a brand-new fleet at a different shard count — the
 	// checkpoint carries campaign state, not fleet state.
-	f2, err := New(k, m, tc, Config{Shards: 4, Sync: true})
+	f2, err := New(k, m, tc, Config{Shards: 4, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 func TestCoordinatorConfigRejections(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(7))
 	m, tc := tinyModel(k, 8)
-	f, err := New(k, m, tc, Config{Shards: 1, Sync: true})
+	f, err := New(k, m, tc, Config{Shards: 1, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCoordinatorConfigRejections(t *testing.T) {
 func TestClientShardDown(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(7))
 	m, tc := tinyModel(k, 8)
-	f, err := New(k, m, tc, Config{Shards: 3, Sync: true})
+	f, err := New(k, m, tc, Config{Shards: 3, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestClientRazzerAndSnowboardPinned(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(1))
 	m, tc := tinyModel(k, 2)
 	direct := predictor.NewPIC(m, tc, "PIC")
-	f, err := New(k, m, tc, Config{Shards: 3, Sync: true})
+	f, err := New(k, m, tc, Config{Shards: 3, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func TestCheckpointFileGuards(t *testing.T) {
 func TestClientGracefulErrors(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(7))
 	m, tc := tinyModel(k, 8)
-	f, err := New(k, m, tc, Config{Shards: 3, Sync: true})
+	f, err := New(k, m, tc, Config{Shards: 3, Serve: serve.Config{Sync: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

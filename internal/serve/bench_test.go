@@ -14,11 +14,12 @@ import (
 	"testing"
 	"time"
 
-	"snowcat/internal/ctgraph"
 	"snowcat/internal/fleet"
 	"snowcat/internal/kernel"
 	"snowcat/internal/pic"
 	"snowcat/internal/serve"
+	"snowcat/internal/ski"
+	"snowcat/internal/syz"
 )
 
 // The serving benchmark is open-loop: arrivals are drawn from a Poisson
@@ -30,25 +31,25 @@ import (
 // Offered load is fixed per client slot (benchReqRate requests/s each),
 // so rows with the same clients compare at equal request load — and
 // equal sample budget per second of wall-clock — while the batch axis
-// changes how many graphs ride in one request. Utilisation stays
-// low, which is the regime where the old coalescer's cliff was purely
-// self-inflicted: an underfull batch was held for the full MaxWait
-// window. After the deadline/adaptive-cap fix, a 32-graph request fills
-// the batch (and would meet the adaptive cap on a slower model) and
-// flushes immediately, while 8-graph requests still pay (most of) the
-// hold — which is why the batch=32 p99 now sits *below* the batch=8 p99
-// in BENCH_serve.json.
+// changes how many schedules, and so graphs, ride in one request. Every
+// request is one real CTI: the server derives each schedule's graph from
+// its station's cached base and scores it, about 0.1 ms per graph on its
+// one worker. Utilisation stays low in every row but batch=32/clients=8,
+// which offers ~6,200 graphs/s and keeps the worker about 80% busy, so
+// there queueing, not the coalescer, sets the tail. In the other rows
+// the coalescer's policy shows: a 32-graph request fills the batch and
+// flushes at once, while smaller requests wait (most of) the MaxWait
+// hold for company.
 const (
 	benchMaxWait = 2 * time.Millisecond
 	benchReqRate = 25.0 // offered requests/s per client slot
 )
 
 // benchModel builds the serving benchmark model: a single-layer Dim-6
-// model and 10-vertex graphs put per-graph inference in the ~10µs range,
-// the paper's inference-bound serving regime — the fixed per-request cost
-// (TCP, HTTP framing, JSON, queue hand-off) and the coalescer's hold
-// policy dominate, and are exactly what batching and the adaptive cap
-// trade against.
+// model keeps scoring cheap, so the fixed per-request cost (TCP, HTTP
+// framing, JSON, queue hand-off) and the coalescer's hold policy stay
+// visible next to it — they are what batching and the adaptive cap trade
+// against.
 func benchModel(b *testing.B) (*kernel.Kernel, *pic.Model, *pic.TokenCache) {
 	b.Helper()
 	k := kernel.Generate(kernel.SmallConfig(5001))
@@ -58,7 +59,7 @@ func benchModel(b *testing.B) (*kernel.Kernel, *pic.Model, *pic.TokenCache) {
 
 // newBenchServer boots a fresh server per grid row, so the server-side
 // latency histogram covers exactly that row's requests.
-func newBenchServer(b *testing.B, m *pic.Model, tc *pic.TokenCache) *serve.Server {
+func newBenchServer(b *testing.B, k *kernel.Kernel, m *pic.Model, tc *pic.TokenCache) *serve.Server {
 	b.Helper()
 	reg := serve.NewRegistry()
 	if err := reg.Load("bench", m, tc); err != nil {
@@ -67,53 +68,50 @@ func newBenchServer(b *testing.B, m *pic.Model, tc *pic.TokenCache) *serve.Serve
 	if _, err := reg.Activate("bench"); err != nil {
 		b.Fatal(err)
 	}
-	s := serve.New(reg, serve.Config{MaxBatch: 32, MaxWait: benchMaxWait, Workers: 1, QueueDepth: 4096})
+	s := serve.New(reg, serve.Config{Kernel: k, MaxBatch: 32, MaxWait: benchMaxWait, Workers: 1, QueueDepth: 4096})
 	b.Cleanup(func() { s.Close() })
 	return s
 }
 
-// benchGraph synthesises a small valid wire graph over the bench kernel.
-func benchGraph(i, numBlocks int) serve.WireGraph {
-	const nv = 10
-	w := serve.WireGraph{HintFrac: []float64{0.25, 0.75}}
-	for v := 0; v < nv; v++ {
-		w.Vertices = append(w.Vertices, serve.WireVertex{
-			Block: int32((i*nv + v*7) % numBlocks),
-			Type:  uint8(v % int(ctgraph.NumVertexTypes)),
-		})
+// benchBody encodes one /v1/predict_cti body: a CTI of two generated
+// programs over the bench kernel with `batch` sampled schedules.
+func benchBody(b *testing.B, k *kernel.Kernel, batch int) []byte {
+	b.Helper()
+	gen := syz.NewGenerator(k, 5003)
+	sa, sb := gen.Generate(), gen.Generate()
+	pa, err := syz.Run(k, sa)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for v := 1; v < nv; v++ {
-		w.Edges = append(w.Edges, serve.WireEdge{From: int32(v - 1), To: int32(v), Type: uint8(v % int(ctgraph.NumEdgeTypes))})
+	pb, err := syz.Run(k, sb)
+	if err != nil {
+		b.Fatal(err)
 	}
-	w.Hints = []serve.WireHint{
-		{Thread: 0, Block: w.Vertices[2].Block, Idx: 0},
-		{Thread: 1, Block: w.Vertices[5].Block, Idx: 1},
+	req := serve.PredictCTIRequest{CTI: serve.EncodeCTI(ski.CTI{ID: 1, A: sa, B: sb})}
+	sampler := ski.NewSampler(pa, pb, 5004)
+	for i := 0; i < batch; i++ {
+		req.Schedules = append(req.Schedules, serve.EncodeSchedule(sampler.Next()))
 	}
-	return w
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
 }
 
 // BenchmarkServeHTTP measures served latency over real HTTP under
-// open-loop Poisson load at batch sizes {1,8,32} (graphs per request)
-// and client-slot counts {1,8}. One op is one graph. `make bench-serve`
-// captures the grid in BENCH_serve.json and derives the tail-latency
-// ratio the coalescer fix targets (batch=8 p99 over batch=32 p99 at 8
-// clients, > 1 after the fix).
+// open-loop Poisson load at batch sizes {1,8,32} (schedules per
+// /v1/predict_cti request) and client-slot counts {1,8}. One op is one
+// graph. `make bench-serve` captures the grid in BENCH_serve.json and
+// derives the tail-latency ratio the coalescer fix targets (batch=8 p99
+// over batch=32 p99 at 8 clients, > 1 after the fix).
 func BenchmarkServeHTTP(b *testing.B) {
 	k, m, tc := benchModel(b)
-	numBlocks := k.NumBlocks()
-
 	for _, batch := range []int{1, 8, 32} {
-		var req serve.PredictRequest
-		for i := 0; i < batch; i++ {
-			req.Graphs = append(req.Graphs, benchGraph(i, numBlocks))
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
-		}
+		body := benchBody(b, k, batch)
 		for _, clients := range []int{1, 8} {
 			b.Run(fmt.Sprintf("batch=%d/clients=%d", batch, clients), func(b *testing.B) {
-				s := newBenchServer(b, m, tc)
+				s := newBenchServer(b, k, m, tc)
 				ts := httptest.NewServer(s.Handler())
 				defer ts.Close()
 				benchServeOpenLoop(b, s, ts, body, batch, clients)
@@ -128,7 +126,7 @@ func BenchmarkServeHTTP(b *testing.B) {
 func benchServeOpenLoop(b *testing.B, s *serve.Server, ts *httptest.Server, body []byte, batch, clients int) {
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
 	post := func() error {
-		resp, err := hc.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+		resp, err := hc.Post(ts.URL+"/v1/predict_cti", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
@@ -140,9 +138,9 @@ func benchServeOpenLoop(b *testing.B, s *serve.Server, ts *httptest.Server, body
 		return nil
 	}
 	// Prime the dispatcher's scoring EWMA (a cold server has no per-graph
-	// estimate, so the adaptive cap starts inert) and open one warm TCP
-	// connection per client slot so connection setup never lands in the
-	// tail of a sparse row.
+	// estimate, so the adaptive cap starts inert), fill the CTI station,
+	// and open one warm TCP connection per client slot so connection setup
+	// never lands in the tail of a sparse row.
 	var prime sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		prime.Add(1)

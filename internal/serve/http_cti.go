@@ -6,7 +6,7 @@ import (
 	"net/http"
 	"time"
 
-	"snowcat/internal/ctgraph"
+	"snowcat/internal/kernel"
 	"snowcat/internal/sim"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
@@ -31,6 +31,14 @@ type WireCTI struct {
 	B  WireSTI `json:"b"`
 }
 
+// WireHint is one scheduling hint of the candidate schedule: thread yields
+// after instruction (block, idx).
+type WireHint struct {
+	Thread int32 `json:"thread"`
+	Block  int32 `json:"block"`
+	Idx    int32 `json:"idx"`
+}
+
 // WireIRQHint is one interrupt injection of a candidate schedule.
 type WireIRQHint struct {
 	Thread int32 `json:"thread"`
@@ -46,11 +54,14 @@ type WireSchedule struct {
 }
 
 // PredictCTIRequest is the /v1/predict_cti body: a raw CTI plus candidate
-// schedules. Unlike /v1/predict the client ships no graphs — the shard
-// profiles the STIs and builds the base graph itself (once, LRU-cached in
-// its CTIStation), which is what makes consistent-hash routing pay off.
+// schedules. The client ships no graphs — the server profiles the STIs and
+// builds the base graph itself (once, LRU-cached in its CTIStation), which
+// is what makes consistent-hash routing pay off.
 type PredictCTIRequest struct {
-	Model      string         `json:"model,omitempty"`
+	// Model pins the request to a version; empty serves the active model.
+	Model string `json:"model,omitempty"`
+	// DeadlineMS is a relative per-request deadline in milliseconds;
+	// 0 applies the server default.
 	DeadlineMS int64          `json:"deadline_ms,omitempty"`
 	CTI        WireCTI        `json:"cti"`
 	Schedules  []WireSchedule `json:"schedules"`
@@ -107,20 +118,21 @@ func (w WireSchedule) Schedule() ski.Schedule {
 }
 
 // Validate checks the request's structural invariants against the served
-// kernel's syscall universe (numSyscalls 0 skips the range check).
-// Profiling is deterministic and sandboxed, so validation only needs to
-// keep indices in range — semantics are the simulator's problem.
-func (r *PredictCTIRequest) Validate(numSyscalls int) error {
+// kernel: syscall numbers inside its syscall table, hint threads 0/1 and
+// IRQ numbers inside its IRQ table. Profiling is deterministic and
+// sandboxed, so validation only needs to keep indices in range —
+// semantics are the simulator's problem.
+func (r *PredictCTIRequest) Validate(k *kernel.Kernel) error {
 	if r.DeadlineMS < 0 {
 		return fmt.Errorf("%w: negative deadline_ms", ErrBadRequest)
 	}
 	if len(r.Schedules) == 0 {
 		return fmt.Errorf("%w: no schedules", ErrBadRequest)
 	}
-	if err := r.CTI.A.validate(numSyscalls); err != nil {
+	if err := r.CTI.A.validate(len(k.Syscalls)); err != nil {
 		return fmt.Errorf("cti %d program a: %w", r.CTI.ID, err)
 	}
-	if err := r.CTI.B.validate(numSyscalls); err != nil {
+	if err := r.CTI.B.validate(len(k.Syscalls)); err != nil {
 		return fmt.Errorf("cti %d program b: %w", r.CTI.ID, err)
 	}
 	for i, s := range r.Schedules {
@@ -133,6 +145,10 @@ func (r *PredictCTIRequest) Validate(numSyscalls int) error {
 			if h.Thread != 0 && h.Thread != 1 {
 				return fmt.Errorf("%w: schedule %d irq %d: thread %d not in {0,1}", ErrBadRequest, i, j, h.Thread)
 			}
+			if h.IRQ < 0 || int(h.IRQ) >= len(k.IRQs) {
+				return fmt.Errorf("%w: schedule %d irq %d: irq %d outside the served kernel (%d irqs)",
+					ErrBadRequest, i, j, h.IRQ, len(k.IRQs))
+			}
 		}
 	}
 	return nil
@@ -143,7 +159,7 @@ func (w WireSTI) validate(numSyscalls int) error {
 		return fmt.Errorf("%w: sti%d has no calls", ErrBadRequest, w.ID)
 	}
 	for i, c := range w.Calls {
-		if c.Syscall < 0 || (numSyscalls > 0 && c.Syscall >= int32(numSyscalls)) {
+		if c.Syscall < 0 || c.Syscall >= int32(numSyscalls) {
 			return fmt.Errorf("%w: call %d: syscall %d outside the served kernel (%d syscalls)",
 				ErrBadRequest, i, c.Syscall, numSyscalls)
 		}
@@ -151,13 +167,15 @@ func (w WireSTI) validate(numSyscalls int) error {
 	return nil
 }
 
-// DecodeCTIRequest parses and validates a /v1/predict_cti body.
-func DecodeCTIRequest(data []byte, numSyscalls int) (*PredictCTIRequest, error) {
+// DecodeCTIRequest parses a /v1/predict_cti body and validates it against
+// the served kernel. It never panics on malformed input — FuzzServeRequest
+// pins that.
+func DecodeCTIRequest(data []byte, k *kernel.Kernel) (*PredictCTIRequest, error) {
 	var req PredictCTIRequest
 	if err := json.Unmarshal(data, &req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if err := req.Validate(numSyscalls); err != nil {
+	if err := req.Validate(k); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -173,31 +191,20 @@ func (s *Server) handlePredictCTI(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := DecodeCTIRequest(body, len(s.station.k.Syscalls))
+	req, err := DecodeCTIRequest(body, s.station.k)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cti := req.CTI.CTI()
 	scheds := make([]ski.Schedule, len(req.Schedules))
 	for i, ws := range req.Schedules {
 		scheds[i] = ws.Schedule()
 	}
-	e, err := s.station.Entry(cti)
-	if err != nil {
-		s.stats.errors.Add(1)
-		writeError(w, statusOf(err), err)
-		return
-	}
-	sreq := &Request{Model: req.Model, Wait: true}
+	opts := Request{Model: req.Model, Wait: true}
 	if req.DeadlineMS > 0 {
-		sreq.Deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+		opts.Deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 	}
-	sreq.Graphs = make([]*ctgraph.Graph, len(scheds))
-	for i, sched := range scheds {
-		sreq.Graphs[i] = e.base.WithSchedule(sched)
-	}
-	resp, err := s.Predict(r.Context(), sreq)
+	resp, err := s.PredictCTI(r.Context(), req.CTI.CTI(), scheds, opts)
 	if err != nil {
 		writeError(w, statusOf(err), err)
 		return

@@ -41,71 +41,82 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) int {
 	return resp.StatusCode
 }
 
-// TestHTTPPredictRoundTrip scores graphs over the wire and pins the
-// response to the direct in-process predictions: the JSON encode →
-// Rebind → score path is bit-identical too.
-func TestHTTPPredictRoundTrip(t *testing.T) {
-	f := newFixture(t, 1001, 2, 2)
-	s := f.newServer(t, Config{Sync: true, Workers: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := PredictRequest{}
-	for _, g := range f.graphs {
-		req.Graphs = append(req.Graphs, EncodeGraph(g))
+// ctiBody encodes the /v1/predict_cti body of fixture CTI i with all its
+// schedules.
+func (f *stationFixture) ctiBody(t *testing.T, i int) []byte {
+	t.Helper()
+	req := PredictCTIRequest{CTI: EncodeCTI(f.ctis[i])}
+	for _, s := range f.scheds[i] {
+		req.Schedules = append(req.Schedules, EncodeSchedule(s))
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got PredictResponse
-	if code := postJSON(t, ts, "/v1/predict", body, &got); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if got.Model != "v1" || got.Threshold != f.model.Threshold {
-		t.Fatalf("header: %+v", got)
+	return body
+}
+
+// TestHTTPPredictRoundTrip scores CTIs over the wire and pins the response
+// to direct in-process predictions of the same graphs: the JSON decode →
+// station → WithSchedule → score path is bit-identical too.
+func TestHTTPPredictRoundTrip(t *testing.T) {
+	f := newStationFixture(t, 1001, 2, 2)
+	s := f.newServer(t, Config{Kernel: f.k, Sync: true, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var got [][]float64
+	for i := range f.ctis {
+		var resp PredictResponse
+		if code := postJSON(t, ts, "/v1/predict_cti", f.ctiBody(t, i), &resp); code != http.StatusOK {
+			t.Fatalf("cti%d: status %d", i, code)
+		}
+		if resp.Model != "v1" || resp.Threshold != f.model.Threshold {
+			t.Fatalf("header: %+v", resp)
+		}
+		got = append(got, resp.Scores...)
 	}
 	want := make([][]float64, len(f.graphs))
 	for i, g := range f.graphs {
 		want[i] = f.model.Predict(g, f.tc)
 	}
-	if !reflect.DeepEqual(got.Scores, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("wire-scored predictions diverged from direct Predict")
 	}
 }
 
 // TestHTTPStatusCodes maps each serving failure to its HTTP status.
 func TestHTTPStatusCodes(t *testing.T) {
-	f := newFixture(t, 1101, 1, 1)
-	s := f.newServer(t, Config{Sync: true, Workers: 1})
+	f := newStationFixture(t, 1101, 1, 1)
+	s := f.newServer(t, Config{Kernel: f.k, Sync: true, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	good, err := json.Marshal(PredictRequest{Graphs: []WireGraph{EncodeGraph(f.graphs[0])}})
-	if err != nil {
-		t.Fatal(err)
+	good := f.ctiBody(t, 0)
+	withIRQ := func(irq int32) func(*PredictCTIRequest) {
+		return func(r *PredictCTIRequest) { r.Schedules[0].IRQs = []WireIRQHint{{IRQ: irq}} }
 	}
-
 	cases := []struct {
 		name string
 		body []byte
 		want int
 	}{
 		{"ok", good, http.StatusOK},
-		{"malformed json", []byte(`{"graphs": [`), http.StatusBadRequest},
-		{"no graphs", []byte(`{"graphs": []}`), http.StatusBadRequest},
-		{"negative deadline", mutate(t, good, func(r *PredictRequest) { r.DeadlineMS = -1 }), http.StatusBadRequest},
-		{"bad vertex type", mutate(t, good, func(r *PredictRequest) { r.Graphs[0].Vertices[0].Type = 200 }), http.StatusBadRequest},
-		{"bad block", mutate(t, good, func(r *PredictRequest) { r.Graphs[0].Vertices[0].Block = 1 << 20 }), http.StatusBadRequest},
-		{"bad edge endpoint", mutate(t, good, func(r *PredictRequest) {
-			r.Graphs[0].Edges[0].To = int32(len(r.Graphs[0].Vertices))
+		{"malformed json", []byte(`{"schedules": [`), http.StatusBadRequest},
+		{"no schedules", mutate(t, good, func(r *PredictCTIRequest) { r.Schedules = nil }), http.StatusBadRequest},
+		{"negative deadline", mutate(t, good, func(r *PredictCTIRequest) { r.DeadlineMS = -1 }), http.StatusBadRequest},
+		{"bad syscall", mutate(t, good, func(r *PredictCTIRequest) {
+			r.CTI.A.Calls[0].Syscall = int32(len(f.k.Syscalls))
 		}), http.StatusBadRequest},
-		{"unknown model pin", mutate(t, good, func(r *PredictRequest) { r.Model = "v99" }), http.StatusConflict},
+		{"bad hint thread", mutate(t, good, func(r *PredictCTIRequest) { r.Schedules[0].Hints[0].Thread = 2 }), http.StatusBadRequest},
+		{"negative irq", mutate(t, good, withIRQ(-1)), http.StatusBadRequest},
+		{"irq out of range", mutate(t, good, withIRQ(int32(len(f.k.IRQs)))), http.StatusBadRequest},
+		{"unknown model pin", mutate(t, good, func(r *PredictCTIRequest) { r.Model = "v99" }), http.StatusConflict},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var e errorResponse
-			if code := postJSON(t, ts, "/v1/predict", tc.body, &e); code != tc.want {
+			if code := postJSON(t, ts, "/v1/predict_cti", tc.body, &e); code != tc.want {
 				t.Fatalf("status %d (error %q), want %d", code, e.Error, tc.want)
 			}
 		})
@@ -113,9 +124,9 @@ func TestHTTPStatusCodes(t *testing.T) {
 }
 
 // mutate round-trips a known-good body through a tweak.
-func mutate(t *testing.T, body []byte, f func(*PredictRequest)) []byte {
+func mutate(t *testing.T, body []byte, f func(*PredictCTIRequest)) []byte {
 	t.Helper()
-	var req PredictRequest
+	var req PredictCTIRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +141,8 @@ func mutate(t *testing.T, body []byte, f func(*PredictRequest)) []byte {
 // TestHTTPControlEndpoints covers /v1/models, /healthz and /statsz,
 // including the draining state after Close.
 func TestHTTPControlEndpoints(t *testing.T) {
-	f := newFixture(t, 1201, 1, 1)
-	s := f.newServer(t, Config{Sync: true, Workers: 1})
+	f := newStationFixture(t, 1201, 1, 1)
+	s := f.newServer(t, Config{Kernel: f.k, Sync: true, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -154,8 +165,8 @@ func TestHTTPControlEndpoints(t *testing.T) {
 		t.Fatalf("healthz: %d %+v", 0, h)
 	}
 
-	body, _ := json.Marshal(PredictRequest{Graphs: []WireGraph{EncodeGraph(f.graphs[0])}})
-	postJSON(t, ts, "/v1/predict", body, nil)
+	body := f.ctiBody(t, 0)
+	postJSON(t, ts, "/v1/predict_cti", body, nil)
 	var st StatsSnapshot
 	if code := getJSON(t, ts, "/statsz", &st); code != http.StatusOK {
 		t.Fatalf("statsz status %d", code)
@@ -170,24 +181,28 @@ func TestHTTPControlEndpoints(t *testing.T) {
 	if code := getJSON(t, ts, "/healthz", &h); code != http.StatusServiceUnavailable || h.Status != "draining" {
 		t.Fatalf("healthz after Close: %d %+v", code, h)
 	}
-	if code := postJSON(t, ts, "/v1/predict", body, nil); code != http.StatusServiceUnavailable {
+	if code := postJSON(t, ts, "/v1/predict_cti", body, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("predict after Close: status %d", code)
 	}
 }
 
-// TestHTTPMethodNotAllowed pins the Go 1.22 method-pattern routing.
+// TestHTTPMethodNotAllowed pins the Go 1.22 method-pattern routing, and
+// that /v1/predict_cti is the only scoring route.
 func TestHTTPMethodNotAllowed(t *testing.T) {
 	f := newFixture(t, 1301, 1, 1)
 	s := f.newServer(t, Config{Sync: true, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/predict")
+	resp, err := http.Get(ts.URL + "/v1/predict_cti")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/predict: status %d", resp.StatusCode)
+		t.Fatalf("GET /v1/predict_cti: status %d", resp.StatusCode)
+	}
+	if code := postJSON(t, ts, "/v1/predict", []byte(`{}`), nil); code != http.StatusNotFound {
+		t.Fatalf("POST /v1/predict: status %d, want 404", code)
 	}
 }
 
@@ -197,12 +212,11 @@ func TestHTTPRejectsOversizedBody(t *testing.T) {
 		t.Skip("allocates a >16MiB body")
 	}
 	f := newFixture(t, 1401, 1, 1)
-	s := f.newServer(t, Config{Sync: true, Workers: 1})
+	s := f.newServer(t, Config{Kernel: f.k, Sync: true, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	big := fmt.Appendf(nil, `{"graphs":[{"vertices":[%s{"block":0,"type":0}]}]}`,
-		bytes.Repeat([]byte(`{"block":0,"type":0},`), maxRequestBytes/21))
-	if code := postJSON(t, ts, "/v1/predict", big, nil); code != http.StatusBadRequest {
+	big := fmt.Appendf(nil, `{"schedules":[%s{}]}`, bytes.Repeat([]byte(`{},`), maxRequestBytes/3+1))
+	if code := postJSON(t, ts, "/v1/predict_cti", big, nil); code != http.StatusBadRequest {
 		t.Fatalf("oversized body: status %d", code)
 	}
 }

@@ -51,14 +51,8 @@ func NewHTTPClient(urls []string, replicas int) *HTTPClient {
 	return c
 }
 
-// Shards returns the fleet size.
-func (c *HTTPClient) Shards() int { return c.ring.Shards() }
-
 // ShardFor returns the shard the ring routes the CTI to.
 func (c *HTTPClient) ShardFor(ctiID int64) int { return c.ring.Shard(ctiID) }
-
-// Ring exposes the routing table (loadgen partitions work with it).
-func (c *HTTPClient) Ring() *Ring { return c.ring }
 
 // PredictCTI scores the schedules of one CTI on its owning shard.
 func (c *HTTPClient) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.Schedule, deadlineMS int64) (*PredictResponse, error) {
@@ -74,16 +68,6 @@ func (c *HTTPClient) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.S
 	}
 	if len(resp.Scores) != len(scheds) {
 		return nil, fmt.Errorf("shard %d: %d score rows for %d schedules", shard, len(resp.Scores), len(scheds))
-	}
-	return &resp, nil
-}
-
-// PredictGraphs scores pre-built wire graphs on an explicit shard (the
-// graph-level protocol carries no CTI identity to route by).
-func (c *HTTPClient) PredictGraphs(ctx context.Context, shard int, req *PredictRequest) (*PredictResponse, error) {
-	var resp PredictResponse
-	if err := c.post(ctx, shard, "/v1/predict", req, &resp); err != nil {
-		return nil, fmt.Errorf("shard %d: %w", shard, err)
 	}
 	return &resp, nil
 }

@@ -223,11 +223,3 @@ func (r *Registry) List() []ModelInfo {
 	}
 	return out
 }
-
-// NumBlocks returns the block universe every snapshot serves (0 before the
-// first Load); the HTTP layer validates wire-graph block IDs against it.
-func (r *Registry) NumBlocks() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.blocks
-}

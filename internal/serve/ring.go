@@ -93,14 +93,3 @@ func (r *Ring) Shard(ctiID int64) int {
 	}
 	return r.owner[i]
 }
-
-// Partition splits the CTI IDs by owning shard, preserving input order
-// within each shard — the scatter step of a fan-out client.
-func (r *Ring) Partition(ctiIDs []int64) [][]int64 {
-	out := make([][]int64, r.shards)
-	for _, id := range ctiIDs {
-		s := r.Shard(id)
-		out[s] = append(out[s], id)
-	}
-	return out
-}

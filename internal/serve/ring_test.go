@@ -58,32 +58,6 @@ func TestRingMinimalRemap(t *testing.T) {
 	}
 }
 
-func TestRingPartitionPreservesOrder(t *testing.T) {
-	r := NewRing(3, 0)
-	ids := make([]int64, 100)
-	for i := range ids {
-		ids[i] = int64(i * 7)
-	}
-	parts := r.Partition(ids)
-	total := 0
-	for s, part := range parts {
-		total += len(part)
-		for i := 1; i < len(part); i++ {
-			if part[i-1] >= part[i] {
-				t.Fatalf("shard %d partition out of input order: %v", s, part)
-			}
-		}
-		for _, id := range part {
-			if r.Shard(id) != s {
-				t.Fatalf("cti %d filed under shard %d but routes to %d", id, s, r.Shard(id))
-			}
-		}
-	}
-	if total != len(ids) {
-		t.Fatalf("partition lost CTIs: %d of %d", total, len(ids))
-	}
-}
-
 func TestRingPanicsOnBadShards(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -54,7 +54,8 @@ type Config struct {
 	// server can then score raw (CTI, schedules) requests, profiling the
 	// STIs and building the base graph itself on a station miss. Fleet
 	// shards set this so consistent-hash routing keeps each shard's CTI
-	// state hot; nil keeps the server kernel-agnostic (wire graphs only).
+	// state hot. nil keeps the server kernel-agnostic: it scores
+	// in-process graph requests only, and /v1/predict_cti answers 501.
 	Kernel *kernel.Kernel
 	// StationSize bounds the CTI station LRU (in CTIs); <= 0 selects 64.
 	// Ignored when Kernel is nil.

@@ -14,8 +14,8 @@ import (
 )
 
 // ErrNoStation reports a CTI-level request against a server configured
-// without a kernel (Config.Kernel nil): such a server can only score wire
-// graphs, not raw (CTI, schedule) work.
+// without a kernel (Config.Kernel nil): such a server can only score
+// in-process graph requests, not raw (CTI, schedule) work.
 var ErrNoStation = fmt.Errorf("%w: server has no CTI station (Config.Kernel unset)", ErrBadRequest)
 
 // stationEntry is the shard-local state of one CTI: the STI profiles and
@@ -137,13 +137,14 @@ func (st *CTIStation) Counters() (hits, misses, evictions uint64) {
 // configured without a kernel.
 func (s *Server) Station() *CTIStation { return s.station }
 
-// PredictCTI scores the given schedules of one CTI: the fleet-facing
-// request shape, where the shard owns all per-CTI state. On a station
-// miss the shard profiles the STIs and builds the base graph itself; the
-// derived graphs then ride the normal admission/coalescing path (and the
-// BaseContext LRU) exactly like in-process graph requests. wait selects
-// admission Wait mode (see Request.Wait).
-func (s *Server) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.Schedule, wait bool) (*Response, error) {
+// PredictCTI scores the given schedules of one CTI: the request shape of
+// /v1/predict_cti and of the fleet, where the server owns all per-CTI
+// state. On a station miss the server profiles the STIs and builds the
+// base graph itself; the derived graphs then ride the normal
+// admission/coalescing path (and the BaseContext LRU) exactly like
+// in-process graph requests. opts carries the admission options — Model,
+// Deadline and Wait (see Request); its Graphs are ignored.
+func (s *Server) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.Schedule, opts Request) (*Response, error) {
 	if s.station == nil {
 		return nil, ErrNoStation
 	}
@@ -155,9 +156,9 @@ func (s *Server) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.Sched
 		s.stats.errors.Add(1)
 		return nil, err
 	}
-	gs := make([]*ctgraph.Graph, len(scheds))
+	opts.Graphs = make([]*ctgraph.Graph, len(scheds))
 	for i, sched := range scheds {
-		gs[i] = e.base.WithSchedule(sched)
+		opts.Graphs[i] = e.base.WithSchedule(sched)
 	}
-	return s.Predict(ctx, &Request{Graphs: gs, Wait: wait})
+	return s.Predict(ctx, &opts)
 }

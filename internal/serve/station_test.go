@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -58,7 +59,7 @@ func TestPredictCTIMatchesGraphPath(t *testing.T) {
 	s := f.newServer(t, Config{Kernel: f.k, StationSize: 8})
 	got := make([][]float64, 0, len(want))
 	for i, cti := range f.ctis {
-		resp, err := s.PredictCTI(context.Background(), cti, f.scheds[i], true)
+		resp, err := s.PredictCTI(context.Background(), cti, f.scheds[i], Request{Wait: true})
 		if err != nil {
 			t.Fatalf("PredictCTI cti%d: %v", cti.ID, err)
 		}
@@ -73,7 +74,7 @@ func TestPredictCTIMatchesGraphPath(t *testing.T) {
 	}
 	// Second pass: all hits, same scores.
 	for i, cti := range f.ctis {
-		resp, err := s.PredictCTI(context.Background(), cti, f.scheds[i], true)
+		resp, err := s.PredictCTI(context.Background(), cti, f.scheds[i], Request{Wait: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestStationEvictionUnderConcurrentMixedCTILoad(t *testing.T) {
 				for i := range f.ctis {
 					// Stagger the walk per client so concurrent requests mix CTIs.
 					i = (i + c) % len(f.ctis)
-					resp, err := s.PredictCTI(context.Background(), f.ctis[i], f.scheds[i], true)
+					resp, err := s.PredictCTI(context.Background(), f.ctis[i], f.scheds[i], Request{Wait: true})
 					if err != nil {
 						errs <- err
 						return
@@ -290,7 +291,7 @@ func TestPredictCTIHTTPRoundTrip(t *testing.T) {
 	defer ts.Close()
 	client := NewHTTPClient([]string{ts.URL}, 0)
 	for i, cti := range f.ctis {
-		want, err := s.PredictCTI(context.Background(), cti, f.scheds[i], true)
+		want, err := s.PredictCTI(context.Background(), cti, f.scheds[i], Request{Wait: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,19 +320,20 @@ func TestPredictCTIHTTPRoundTrip(t *testing.T) {
 }
 
 // TestPredictCTIRejectsMalformed pins wire-level validation: out-of-range
-// syscalls, empty programs, and empty schedule lists are rejected with
-// ErrBadRequest before any profiling runs.
+// syscalls and IRQ numbers, empty programs, and empty schedule lists are
+// rejected with ErrBadRequest before any profiling runs.
 func TestPredictCTIRejectsMalformed(t *testing.T) {
 	f := newStationFixture(t, 251, 1, 1)
-	numSyscalls := len(f.k.Syscalls)
 	good := PredictCTIRequest{CTI: EncodeCTI(f.ctis[0])}
 	good.Schedules = []WireSchedule{EncodeSchedule(f.scheds[0][0])}
 	cases := map[string]func(r *PredictCTIRequest){
 		"no schedules":    func(r *PredictCTIRequest) { r.Schedules = nil },
 		"empty program":   func(r *PredictCTIRequest) { r.CTI.A.Calls = nil },
-		"syscall range":   func(r *PredictCTIRequest) { r.CTI.B.Calls[0].Syscall = int32(numSyscalls) },
+		"syscall range":   func(r *PredictCTIRequest) { r.CTI.B.Calls[0].Syscall = int32(len(f.k.Syscalls)) },
 		"negative sysc":   func(r *PredictCTIRequest) { r.CTI.A.Calls[0].Syscall = -1 },
 		"bad hint thread": func(r *PredictCTIRequest) { r.Schedules[0].Hints = []WireHint{{Thread: 2}} },
+		"irq range":       func(r *PredictCTIRequest) { r.Schedules[0].IRQs = []WireIRQHint{{IRQ: int32(len(f.k.IRQs))}} },
+		"negative irq":    func(r *PredictCTIRequest) { r.Schedules[0].IRQs = []WireIRQHint{{IRQ: -1}} },
 		"neg deadline":    func(r *PredictCTIRequest) { r.DeadlineMS = -1 },
 	}
 	for name, mutate := range cases {
@@ -341,11 +343,11 @@ func TestPredictCTIRejectsMalformed(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(&r)
-		if err := r.Validate(numSyscalls); err == nil {
-			t.Errorf("%s: malformed request validated", name)
+		if err := r.Validate(f.k); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: malformed request validated (err %v)", name, err)
 		}
 	}
-	if err := good.Validate(numSyscalls); err != nil {
+	if err := good.Validate(f.k); err != nil {
 		t.Fatalf("well-formed request rejected: %v", err)
 	}
 }
