@@ -41,8 +41,10 @@ lint:
 
 # Default gate: lint, the full suite, and the equivalence tests again
 # under the race detector — the inference fast-path set (base/context
-# sharing across goroutines) plus the explore-pipeline pinned set (walks,
-# campaign histories, Razzer/Snowboard rows at parallel worker counts).
+# sharing across goroutines), the explore-pipeline pinned set (walks,
+# campaign histories, Razzer/Snowboard rows at parallel worker counts),
+# and the executor corpus run from several goroutines at once (pooled
+# access logs).
 test: lint
 	$(GO) test ./...
 	$(GO) test -race -run 'TestKernelsBitEqualReference|TestCSREquivalenceProperty|TestWithScheduleMatchesMonolithicBuild|TestBaseSharedAcrossGoroutines|TestBaseContextBitEqual|TestPredictAllCtxMatches|TestSweepPathsAgree' \
@@ -54,6 +56,7 @@ test: lint
 	$(GO) test -race ./internal/serve ./internal/fleet
 	$(GO) test -race -run 'TestTokenCacheConcurrentReaders|TestBaseContextConcurrentPredict' ./internal/pic
 	$(GO) test -race ./internal/stream ./internal/trainer
+	$(GO) test -race -run 'TestExecCorpusConcurrent' ./internal/ski
 
 test-race:
 	$(GO) test -race ./...
@@ -100,12 +103,15 @@ bench-predict:
 	cat BENCH_predict.json
 
 # Campaign-layer benchmarks (worker-pool campaigns plus the schedule-key
-# hot path); snapshots the numbers to BENCH_campaign.json.
+# and race-detector hot paths); snapshots the numbers to
+# BENCH_campaign.json.
 bench-campaign:
 	$(GO) test -run xxx -bench 'BenchmarkCampaignSerial$$|BenchmarkCampaignParallel$$' \
 		-benchmem -benchtime 3x . | tee bench_campaign.out
 	$(GO) test -run xxx -bench 'BenchmarkScheduleKey' \
 		-benchmem -benchtime 10000x ./internal/ski | tee -a bench_campaign.out
+	$(GO) test -run xxx -bench 'BenchmarkDetect$$' \
+		-benchmem -benchtime 10000x ./internal/race | tee -a bench_campaign.out
 	awk 'BEGIN { print "[" } \
 		/^Benchmark/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
 			printf "%s  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", sep, name, $$2, $$3, $$5, $$7; \

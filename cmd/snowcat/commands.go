@@ -665,6 +665,7 @@ func traceExecution(k *kernel.Kernel, cti ski.CTI, sched ski.Schedule, maxSteps 
 			fmt.Printf("%4d | %40s | %s\n", printed, "", text)
 		}
 	}
+	var ev sim.Event
 	for printed < maxSteps {
 		for len(hints) > 0 && threads[hints[0].Thread].State() == sim.Done {
 			hints = hints[1:]
@@ -687,8 +688,7 @@ func traceExecution(k *kernel.Kernel, cti ski.CTI, sched ski.Schedule, maxSteps 
 		pc := t.PC()
 		blk := k.Block(pc.Block)
 		instr := blk.Instrs[pc.Idx].String()
-		ev, err := t.Step()
-		if err != nil {
+		if err := t.Step(&ev); err != nil {
 			return err
 		}
 		if t.State() == sim.BlockedOnLock {

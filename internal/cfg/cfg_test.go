@@ -206,9 +206,9 @@ func coverSequential(t *testing.T, k *kernel.Kernel, sc int32) []bool {
 	m := sim.NewMachine(k)
 	th := sim.NewThread(m, 0, []sim.Call{{Syscall: sc, Args: []int64{1, 2, 3}}})
 	covered := make([]bool, k.NumBlocks())
+	var ev sim.Event
 	for th.State() == sim.Runnable {
-		ev, err := th.Step()
-		if err != nil {
+		if err := th.Step(&ev); err != nil {
 			t.Fatal(err)
 		}
 		if ev.EnteredBlock {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 
+	"snowcat/internal/atomicfile"
 	"snowcat/internal/ctgraph"
 )
 
@@ -97,13 +98,17 @@ func (d *Dataset) check() error {
 	return nil
 }
 
-// SaveFile writes the dataset to path.
+// SaveFile writes the dataset to path, atomically: a failed save leaves
+// the previous file intact.
 func (d *Dataset) SaveFile(path string) error {
 	data, err := d.Encode()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	if err := atomicfile.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("dataset: save: %w", err)
+	}
+	return nil
 }
 
 // LoadFile reads a dataset written by SaveFile.

@@ -1,13 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
 
+	"snowcat/internal/atomicfile"
 	"snowcat/internal/campaign"
 	"snowcat/internal/explore"
 	"snowcat/internal/strategy"
@@ -45,29 +46,16 @@ type Checkpoint struct {
 	Resilience *explore.ResilienceState
 }
 
-// SaveCheckpoint atomically writes ck to path: a temp file in the same
-// directory, synced, then renamed over the target — a crash mid-save
-// leaves the previous checkpoint intact.
+// SaveCheckpoint atomically writes ck to path (atomicfile.WriteFile): a
+// crash mid-save leaves the previous checkpoint intact.
 func SaveCheckpoint(path string, ck *Checkpoint) error {
 	ck.Magic = checkpointMagic
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".checkpoint-*")
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := gob.NewEncoder(tmp).Encode(ck); err != nil {
-		tmp.Close()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		return fmt.Errorf("fleet: checkpoint encode: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fleet: checkpoint rename: %w", err)
+	if err := atomicfile.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		return fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	return nil
 }

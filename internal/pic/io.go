@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 
+	"snowcat/internal/atomicfile"
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/nn"
 )
@@ -112,13 +113,17 @@ func (m *Model) checkShapes() error {
 	return nil
 }
 
-// SaveFile writes the model to path.
+// SaveFile writes the model to path, atomically: a failed save leaves the
+// previous file intact.
 func (m *Model) SaveFile(path string) error {
 	data, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	if err := atomicfile.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("pic: save: %w", err)
+	}
+	return nil
 }
 
 // LoadFile reads a model written by SaveFile.

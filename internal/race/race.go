@@ -16,8 +16,10 @@
 package race
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"snowcat/internal/sim"
 	"snowcat/internal/ski"
@@ -41,15 +43,8 @@ func (r Race) String() string {
 	return fmt.Sprintf("race{%s <-> %s on g%d}", r.A, r.B, r.Addr)
 }
 
-func refLess(a, b sim.InstrRef) bool {
-	if a.Block != b.Block {
-		return a.Block < b.Block
-	}
-	return a.Idx < b.Idx
-}
-
 func canonical(a, b sim.InstrRef, addr int32) Race {
-	if refLess(b, a) {
+	if compareRefs(b, a) < 0 {
 		a, b = b, a
 	}
 	return Race{A: a, B: b, Addr: addr}
@@ -68,66 +63,90 @@ func Detect(res *ski.Result) []Race { return DetectWindow(res, DefaultWindow) }
 // DetectWindow is Detect with an explicit proximity window (in global
 // interleaving steps); window <= 0 means unbounded (pure lockset
 // detection).
+//
+// Executor logs are in ascending Step (Step is the global interleaving
+// position), so the detector is one sweep: for each thread-1 access it
+// scans only the thread-0 accesses within window steps of it, behind a
+// lower bound that only advances, and collects canonical races; sorting
+// them by (A, B, Addr) and dropping adjacent duplicates leaves each unique
+// race once. A log not in Step order (hand-built results) is swept in a
+// stable Step-sorted copy; the races found do not depend on log order.
 func DetectWindow(res *ski.Result, window int) []Race {
-	// Bucket thread-0 accesses by address to avoid the full cross product.
-	byAddr := make(map[int32][]syz.Access)
-	for _, a := range res.Accesses[0] {
-		byAddr[a.Addr] = append(byAddr[a.Addr], a)
-	}
-	seen := make(map[string]bool)
+	a0, a1 := stepOrdered(res.Accesses[0]), stepOrdered(res.Accesses[1])
 	var out []Race
-	for _, b := range res.Accesses[1] {
-		for _, a := range byAddr[b.Addr] {
+	lo := 0
+	for _, b := range a1 {
+		if window > 0 {
+			for lo < len(a0) && b.Step-a0[lo].Step > window {
+				lo++
+			}
+		}
+		for i := lo; i < len(a0); i++ {
+			a := &a0[i]
+			if window > 0 && a.Step-b.Step > window {
+				break // not temporally overlapping, nor is anything later
+			}
+			if a.Addr != b.Addr {
+				continue
+			}
 			if !a.Write && !b.Write {
 				continue // read-read never races
 			}
 			if a.Lockset&b.Lockset != 0 {
 				continue // common lock orders the accesses
 			}
-			if window > 0 {
-				d := a.Step - b.Step
-				if d < 0 {
-					d = -d
-				}
-				if d > window {
-					continue // not temporally overlapping
-				}
-			}
-			r := canonical(a.Ref, b.Ref, b.Addr)
-			if k := r.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, r)
-			}
+			out = append(out, canonical(a.Ref, b.Ref, b.Addr))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return refLess(out[i].A, out[j].A)
-		}
-		if out[i].B != out[j].B {
-			return refLess(out[i].B, out[j].B)
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	return out
+	slices.SortFunc(out, compareRaces)
+	return slices.Compact(out)
+}
+
+// stepOrdered returns log itself when it is in ascending Step order, and a
+// stable Step-sorted copy otherwise.
+func stepOrdered(log []syz.Access) []syz.Access {
+	byStep := func(x, y syz.Access) int { return cmp.Compare(x.Step, y.Step) }
+	if slices.IsSortedFunc(log, byStep) {
+		return log
+	}
+	log = slices.Clone(log)
+	slices.SortStableFunc(log, byStep)
+	return log
+}
+
+func compareRefs(a, b sim.InstrRef) int {
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Idx, b.Idx)
+}
+
+// compareRaces orders races by (A, B, Addr), Detect's output order.
+func compareRaces(x, y Race) int {
+	if c := compareRefs(x.A, y.A); c != 0 {
+		return c
+	}
+	if c := compareRefs(x.B, y.B); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Addr, y.Addr)
 }
 
 // Set accumulates unique races across many executions, the cumulative
 // "data-race-coverage" metric of §5.3.
 type Set struct {
-	m map[string]Race
+	m map[Race]struct{}
 }
 
 // NewSet returns an empty cumulative race set.
-func NewSet() *Set { return &Set{m: make(map[string]Race)} }
+func NewSet() *Set { return &Set{m: make(map[Race]struct{})} }
 
 // Add inserts the races and returns how many were new.
 func (s *Set) Add(races []Race) int {
 	n := 0
 	for _, r := range races {
-		k := r.Key()
-		if _, ok := s.m[k]; !ok {
-			s.m[k] = r
+		if _, ok := s.m[r]; !ok {
+			s.m[r] = struct{}{}
 			n++
 		}
 	}
@@ -139,16 +158,25 @@ func (s *Set) Size() int { return len(s.m) }
 
 // Has reports whether an equivalent race is already in the set.
 func (s *Set) Has(r Race) bool {
-	_, ok := s.m[r.Key()]
+	_, ok := s.m[r]
 	return ok
 }
 
-// Races returns all unique races in deterministic order.
+// Races returns all unique races in deterministic order: sorted by Key,
+// the order fold snapshots and checkpoints encode.
 func (s *Set) Races() []Race {
-	out := make([]Race, 0, len(s.m))
-	for _, r := range s.m {
-		out = append(out, r)
+	type keyed struct {
+		key string
+		r   Race
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	ks := make([]keyed, 0, len(s.m))
+	for r := range s.m {
+		ks = append(ks, keyed{r.Key(), r})
+	}
+	slices.SortFunc(ks, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	out := make([]Race, len(ks))
+	for i, k := range ks {
+		out[i] = k.r
+	}
 	return out
 }

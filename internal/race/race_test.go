@@ -1,6 +1,9 @@
 package race
 
 import (
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +11,7 @@ import (
 	"snowcat/internal/sim"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
+	"snowcat/internal/xrand"
 )
 
 // result builds a synthetic ski.Result with the given accesses.
@@ -257,5 +261,186 @@ func acc2(block, addr int32, write bool, lockset uint64, step int) syz.Access {
 	return syz.Access{
 		Ref: sim.InstrRef{Block: block}, Write: write,
 		Addr: addr, Lockset: lockset, Step: step,
+	}
+}
+
+// referenceDetectWindow is DetectWindow as it stood before the windowed
+// sweep, copied verbatim (with its refLess helper): the per-call address
+// map and string-keyed dedup the sweep replaced. The tests below pin the
+// sweep to it bit for bit, nil-ness included.
+func referenceDetectWindow(res *ski.Result, window int) []Race {
+	// Bucket thread-0 accesses by address to avoid the full cross product.
+	byAddr := make(map[int32][]syz.Access)
+	for _, a := range res.Accesses[0] {
+		byAddr[a.Addr] = append(byAddr[a.Addr], a)
+	}
+	seen := make(map[string]bool)
+	var out []Race
+	for _, b := range res.Accesses[1] {
+		for _, a := range byAddr[b.Addr] {
+			if !a.Write && !b.Write {
+				continue // read-read never races
+			}
+			if a.Lockset&b.Lockset != 0 {
+				continue // common lock orders the accesses
+			}
+			if window > 0 {
+				d := a.Step - b.Step
+				if d < 0 {
+					d = -d
+				}
+				if d > window {
+					continue // not temporally overlapping
+				}
+			}
+			r := canonical(a.Ref, b.Ref, b.Addr)
+			if k := r.Key(); !seen[k] {
+				seen[k] = true
+				out = append(out, r)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].A != out[j].A {
+			return refLess(out[i].A, out[j].A)
+		}
+		if out[i].B != out[j].B {
+			return refLess(out[i].B, out[j].B)
+		}
+		return out[i].Addr < out[j].Addr
+	})
+	return out
+}
+
+func refLess(a, b sim.InstrRef) bool {
+	if a.Block != b.Block {
+		return a.Block < b.Block
+	}
+	return a.Idx < b.Idx
+}
+
+var referenceWindows = []int{-1, 0, 1, 10, 80, 1000}
+
+// randomLog draws n accesses over few blocks, addresses and locks, so
+// collisions, read/read pairs and overlapping locksets are common. order
+// picks the Step pattern: 0 strictly ascending, 1 ascending with repeated
+// values, 2 shuffled, 3 all equal.
+func randomLog(rng *xrand.RNG, n, order int) []syz.Access {
+	if n == 0 && rng.Intn(2) == 0 {
+		return nil
+	}
+	log := make([]syz.Access, n)
+	step := rng.Intn(50)
+	for i := range log {
+		switch order {
+		case 0, 2:
+			step += 1 + rng.Intn(30)
+		case 1:
+			step += rng.Intn(3)
+		}
+		log[i] = syz.Access{
+			Ref:     sim.InstrRef{Block: int32(rng.Intn(6)), Idx: int32(rng.Intn(3))},
+			Write:   rng.Intn(3) == 0,
+			Addr:    int32(rng.Intn(4)),
+			Value:   int64(rng.Intn(5)),
+			Lockset: uint64(rng.Intn(8)),
+			Step:    step,
+		}
+	}
+	if order == 2 {
+		for i := len(log) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			log[i], log[j] = log[j], log[i]
+		}
+	}
+	return log
+}
+
+// TestDetectMatchesReferenceOnRandomLogs pins the sweep to the reference
+// over random logs in and out of Step order, at every window shape:
+// unbounded (-1, 0), tight, the default and wider than any log.
+func TestDetectMatchesReferenceOnRandomLogs(t *testing.T) {
+	rng := xrand.New(17)
+	for c := 0; c < 4000; c++ {
+		res := result(
+			randomLog(rng, rng.Intn(40), rng.Intn(4)),
+			randomLog(rng, rng.Intn(40), rng.Intn(4)),
+		)
+		for _, w := range referenceWindows {
+			got, want := DetectWindow(res, w), referenceDetectWindow(res, w)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d window %d:\n got %v\nwant %v\nlogs %v\n     %v",
+					c, w, got, want, res.Accesses[0], res.Accesses[1])
+			}
+		}
+	}
+}
+
+// detectFixture executes sampled schedules of CTIs on the campaign kernel
+// (kernel.DefaultConfig(11)), the executions the race detector sees in a
+// plain-PCT campaign.
+var detectFixture struct {
+	once sync.Once
+	res  []*ski.Result
+	err  error
+}
+
+func loadDetectFixture(tb testing.TB) []*ski.Result {
+	detectFixture.once.Do(func() {
+		k := kernel.Generate(kernel.DefaultConfig(11))
+		g := syz.NewGenerator(k, 12)
+		for i := 0; i < 12; i++ {
+			cti := ski.CTI{ID: int64(i), A: g.Generate(), B: g.Generate()}
+			pa, err := syz.Run(k, cti.A)
+			if err != nil {
+				detectFixture.err = err
+				return
+			}
+			pb, err := syz.Run(k, cti.B)
+			if err != nil {
+				detectFixture.err = err
+				return
+			}
+			s := ski.NewSampler(pa, pb, uint64(i))
+			for j := 0; j < 4; j++ {
+				res, err := ski.Execute(k, cti, s.Next())
+				if err != nil {
+					detectFixture.err = err
+					return
+				}
+				detectFixture.res = append(detectFixture.res, res)
+			}
+		}
+	})
+	if detectFixture.err != nil {
+		tb.Fatal(detectFixture.err)
+	}
+	return detectFixture.res
+}
+
+func TestDetectMatchesReferenceOnExecutions(t *testing.T) {
+	found := 0
+	for i, res := range loadDetectFixture(t) {
+		for _, w := range referenceWindows {
+			got, want := DetectWindow(res, w), referenceDetectWindow(res, w)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("execution %d window %d: got %d races, want %d", i, w, len(got), len(want))
+			}
+			found += len(got)
+		}
+	}
+	if found == 0 {
+		t.Fatal("fixture executions found no races: the comparison is vacuous")
+	}
+}
+
+// BenchmarkDetect runs the default-window detector over executions of the
+// campaign kernel, one execution per op.
+func BenchmarkDetect(b *testing.B) {
+	res := loadDetectFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Detect(res[i%len(res)])
 	}
 }

@@ -59,6 +59,7 @@ func TestPropertyLockOwnershipExclusive(t *testing.T) {
 			NewThread(m, 1, randomCalls(k, rawB)),
 		}
 		cur := 0
+		var ev Event
 		for step := 0; step < 4000; step++ {
 			if threads[0].State() == Done && threads[1].State() == Done {
 				break
@@ -74,7 +75,7 @@ func TestPropertyLockOwnershipExclusive(t *testing.T) {
 					break // both threads parked; nothing left to check
 				}
 			}
-			if _, err := th.Step(); err != nil {
+			if err := th.Step(&ev); err != nil {
 				return false
 			}
 			if !lockInvariantsHold(m, threads) {
@@ -98,8 +99,9 @@ func TestPropertyStepsWithinLimit(t *testing.T) {
 		m := NewMachine(k)
 		m.Limit = limit
 		th := NewThread(m, 0, randomCalls(k, raw))
+		var ev Event
 		for th.State() == Runnable {
-			if _, err := th.Step(); err != nil {
+			if err := th.Step(&ev); err != nil {
 				return errors.Is(err, ErrStepLimit) && m.Steps <= limit
 			}
 		}
@@ -118,9 +120,10 @@ func TestBadJumpIsTypedError(t *testing.T) {
 	}}, []kernel.Syscall{{ID: 0, Name: "s", Fn: 0}})
 	m := NewMachine(k)
 	th := NewThread(m, 0, []Call{{Syscall: 0}})
+	var ev Event
 	var err error
 	for th.State() == Runnable {
-		if _, err = th.Step(); err != nil {
+		if err = th.Step(&ev); err != nil {
 			break
 		}
 	}
@@ -137,9 +140,10 @@ func TestFallthroughOffFunctionIsTypedError(t *testing.T) {
 	}}, []kernel.Syscall{{ID: 0, Name: "s", Fn: 0}})
 	m := NewMachine(k)
 	th := NewThread(m, 0, []Call{{Syscall: 0}})
+	var ev Event
 	var err error
 	for th.State() == Runnable {
-		if _, err = th.Step(); err != nil {
+		if err = th.Step(&ev); err != nil {
 			break
 		}
 	}
@@ -167,9 +171,10 @@ func TestBadCallIsTypedError(t *testing.T) {
 	for i, call := range cases {
 		m := NewMachine(k)
 		th := NewThread(m, 0, []Call{call})
+		var ev Event
 		var err error
 		for th.State() == Runnable {
-			if _, err = th.Step(); err != nil {
+			if err = th.Step(&ev); err != nil {
 				break
 			}
 		}

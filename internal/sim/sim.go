@@ -124,11 +124,37 @@ func (m *Machine) stepLimit() int {
 	return MaxSteps
 }
 
-// frame is one call-stack entry.
+// frame is one call-stack entry. It caches the resolved function and block
+// of its position, so the instructions of one block are fetched without
+// re-resolving either: the cache is refilled only by a control transfer
+// (enterBlock). blk is nil while the position names no instruction; the
+// next Step then fails (badPosition).
 type frame struct {
 	fn       int32
 	blockIdx int32 // index into Funcs[fn].Blocks
 	instrIdx int32
+	blockID  int32          // Funcs[fn].Blocks[blockIdx], valid while blk != nil
+	fnp      *kasm.Function // Funcs[fn]
+	blk      *kasm.Block    // the block of blockID, or nil
+}
+
+// pushFrame starts fn (a function of the kernel) on top of the stack.
+func (t *Thread) pushFrame(fn int32, fnp *kasm.Function) {
+	t.stack = append(t.stack, frame{fn: fn, fnp: fnp})
+	t.enterBlock(&t.stack[len(t.stack)-1], 0)
+}
+
+// enterBlock moves the frame to the first instruction of block index idx
+// of its function and refills its block cache. A position that names no
+// instruction leaves the cache empty, so the next Step reports it.
+func (t *Thread) enterBlock(f *frame, idx int32) {
+	f.blockIdx, f.instrIdx, f.blk = idx, 0, nil
+	if idx >= 0 && int(idx) < len(f.fnp.Blocks) {
+		id := f.fnp.Blocks[idx]
+		if b := t.m.K.Block(id); b != nil && len(b.Instrs) > 0 {
+			f.blockID, f.blk = id, b
+		}
+	}
 }
 
 // Thread executes one sequential test input (a sequence of syscalls).
@@ -190,7 +216,8 @@ func (t *Thread) startNextSyscall() {
 		return
 	}
 	sc := t.m.K.Syscalls[call.Syscall]
-	if t.m.K.Func(sc.Fn) == nil {
+	fnp := t.m.K.Func(sc.Fn)
+	if fnp == nil {
 		t.failure = fmt.Errorf("%w: thread %d: syscall %d names unknown function f%d",
 			ErrBadCall, t.ID, call.Syscall, sc.Fn)
 		t.state = Runnable
@@ -199,7 +226,8 @@ func (t *Thread) startNextSyscall() {
 	for i := 0; i < sc.NumArgs && i < len(call.Args); i++ {
 		t.Regs[i] = call.Args[i]
 	}
-	t.stack = append(t.stack[:0], frame{fn: sc.Fn})
+	t.stack = t.stack[:0]
+	t.pushFrame(sc.Fn, fnp)
 	t.state = Runnable
 }
 
@@ -231,42 +259,32 @@ var ErrBadCall = fmt.Errorf("sim: invalid call target")
 // MaxSteps bounds the total instructions one machine may execute.
 const MaxSteps = 4 << 20
 
-// Step executes one instruction of the thread and reports its effects.
-// Stepping a Done thread is a no-op (zero Event). If the next instruction
-// is a lock acquire on a contended lock, the thread transitions to
-// BlockedOnLock and the event reports no progress; the scheduler must run
-// another thread.
-func (t *Thread) Step() (Event, error) {
-	var ev Event
-	ev.Thread = t.ID
+// Step executes one instruction of the thread and reports its effects in
+// *ev, which it overwrites. Stepping a Done thread is a no-op (an event
+// naming only the thread). If the next instruction is a lock acquire on a
+// contended lock, the thread transitions to BlockedOnLock and the event
+// reports no progress; the scheduler must run another thread.
+func (t *Thread) Step(ev *Event) error {
+	*ev = Event{Thread: t.ID}
 	if t.failure != nil {
-		return ev, t.failure
+		return t.failure
 	}
 	if t.State() != Runnable {
-		return ev, nil
+		return nil
 	}
 	if t.m.Steps >= t.m.stepLimit() {
-		return ev, ErrStepLimit
+		return ErrStepLimit
 	}
 
 	f := &t.stack[len(t.stack)-1]
-	fn := t.m.K.Func(f.fn)
-	if fn == nil {
-		return ev, fmt.Errorf("%w: thread %d executing unknown function f%d", ErrBadCall, t.ID, f.fn)
-	}
-	if f.blockIdx < 0 || int(f.blockIdx) >= len(fn.Blocks) {
-		return ev, fmt.Errorf("%w: thread %d fell off function f%d", ErrBadJump, t.ID, f.fn)
-	}
-	blockID := fn.Blocks[f.blockIdx]
-	b := t.m.K.Block(blockID)
-	if b == nil || f.instrIdx < 0 || int(f.instrIdx) >= len(b.Instrs) {
-		return ev, fmt.Errorf("%w: thread %d at invalid instruction b%d:%d",
-			ErrBadJump, t.ID, blockID, f.instrIdx)
+	b := f.blk
+	if b == nil {
+		return t.badPosition(f)
 	}
 	in := &b.Instrs[f.instrIdx]
 
-	ev.Block = blockID
-	ev.Ref = InstrRef{Block: blockID, Idx: f.instrIdx}
+	ev.Block = f.blockID
+	ev.Ref = InstrRef{Block: f.blockID, Idx: f.instrIdx}
 	ev.EnteredBlock = f.instrIdx == 0
 
 	// Lock acquisition may block without consuming the instruction.
@@ -276,14 +294,13 @@ func (t *Thread) Step() (Event, error) {
 			t.state = BlockedOnLock
 			t.waiting = in.LockID
 			ev.EnteredBlock = false // re-evaluated when actually executed
-			return ev, nil
+			return nil
 		}
 	}
 
 	t.m.Steps++
 	t.Steps++
 
-	advance := true // move to next instruction within the block
 	switch in.Op {
 	case kasm.OpNop:
 	case kasm.OpMovI:
@@ -337,75 +354,68 @@ func (t *Thread) Step() (Event, error) {
 		ev.BugHit = true
 		ev.BugID = int32(in.Imm)
 	case kasm.OpJmp:
-		if err := t.jumpTo(f, fn, in.Target); err != nil {
-			return ev, err
-		}
-		advance = false
+		return t.jumpTo(f, in.Target)
 	case kasm.OpJeq:
-		if err := t.branch(f, fn, in.Target, t.Flag == 0); err != nil {
-			return ev, err
-		}
-		advance = false
+		return t.branch(f, in.Target, t.Flag == 0)
 	case kasm.OpJne:
-		if err := t.branch(f, fn, in.Target, t.Flag != 0); err != nil {
-			return ev, err
-		}
-		advance = false
+		return t.branch(f, in.Target, t.Flag != 0)
 	case kasm.OpJlt:
-		if err := t.branch(f, fn, in.Target, t.Flag < 0); err != nil {
-			return ev, err
-		}
-		advance = false
+		return t.branch(f, in.Target, t.Flag < 0)
 	case kasm.OpJge:
-		if err := t.branch(f, fn, in.Target, t.Flag >= 0); err != nil {
-			return ev, err
-		}
-		advance = false
+		return t.branch(f, in.Target, t.Flag >= 0)
 	case kasm.OpCall:
-		if t.m.K.Func(in.Callee) == nil {
-			return ev, fmt.Errorf("%w: thread %d calls unknown function f%d at %s",
+		callee := t.m.K.Func(in.Callee)
+		if callee == nil {
+			return fmt.Errorf("%w: thread %d calls unknown function f%d at %s",
 				ErrBadCall, t.ID, in.Callee, ev.Ref)
 		}
 		// Return continues at the next block of the caller.
-		f.blockIdx++
-		f.instrIdx = 0
-		t.stack = append(t.stack, frame{fn: in.Callee})
-		advance = false
+		t.enterBlock(f, f.blockIdx+1)
+		t.pushFrame(in.Callee, callee)
+		return nil
 	case kasm.OpRet:
 		t.stack = t.stack[:len(t.stack)-1]
 		if len(t.stack) == 0 {
 			ev.SyscallDone = true
 			t.startNextSyscall()
 		}
-		advance = false
+		return nil
 	default:
-		return ev, fmt.Errorf("sim: thread %d: unknown opcode %d at %s", t.ID, in.Op, ev.Ref)
+		return fmt.Errorf("sim: thread %d: unknown opcode %d at %s", t.ID, in.Op, ev.Ref)
 	}
 
-	if advance {
-		f.instrIdx++
-		if int(f.instrIdx) >= len(b.Instrs) {
-			// Fallthrough to the lexically next block.
-			f.blockIdx++
-			f.instrIdx = 0
-			if int(f.blockIdx) >= len(fn.Blocks) {
-				// A block without terminator at the end of a function
-				// cannot be generated, but guard anyway.
-				return ev, fmt.Errorf("%w: thread %d fell off function f%d", ErrBadJump, t.ID, f.fn)
-			}
+	// Move to the next instruction within the block.
+	f.instrIdx++
+	if int(f.instrIdx) >= len(b.Instrs) {
+		// Fallthrough to the lexically next block.
+		t.enterBlock(f, f.blockIdx+1)
+		if int(f.blockIdx) >= len(f.fnp.Blocks) {
+			// A block without terminator at the end of a function
+			// cannot be generated, but guard anyway.
+			return fmt.Errorf("%w: thread %d fell off function f%d", ErrBadJump, t.ID, f.fn)
 		}
 	}
-	return ev, nil
+	return nil
+}
+
+// badPosition reports why a frame with an empty block cache names no
+// instruction: its block index is past the function's end, or the block is
+// missing from the kernel or empty.
+func (t *Thread) badPosition(f *frame) error {
+	if int(f.blockIdx) >= len(f.fnp.Blocks) {
+		return fmt.Errorf("%w: thread %d fell off function f%d", ErrBadJump, t.ID, f.fn)
+	}
+	return fmt.Errorf("%w: thread %d at invalid instruction b%d:%d",
+		ErrBadJump, t.ID, f.fnp.Blocks[f.blockIdx], f.instrIdx)
 }
 
 // branch redirects control to target when taken; otherwise control falls
 // through to the next block.
-func (t *Thread) branch(f *frame, fn *kasm.Function, target int32, taken bool) error {
+func (t *Thread) branch(f *frame, target int32, taken bool) error {
 	if taken {
-		return t.jumpTo(f, fn, target)
+		return t.jumpTo(f, target)
 	}
-	f.blockIdx++
-	f.instrIdx = 0
+	t.enterBlock(f, f.blockIdx+1)
 	return nil
 }
 
@@ -413,15 +423,14 @@ func (t *Thread) branch(f *frame, fn *kasm.Function, target int32, taken bool) e
 // outside the function — unreachable for validated kernels — is an
 // ErrBadJump-wrapped error, not a panic, so corrupted inputs degrade
 // instead of crashing pool workers.
-func (t *Thread) jumpTo(f *frame, fn *kasm.Function, target int32) error {
-	for i, bid := range fn.Blocks {
+func (t *Thread) jumpTo(f *frame, target int32) error {
+	for i, bid := range f.fnp.Blocks {
 		if bid == target {
-			f.blockIdx = int32(i)
-			f.instrIdx = 0
+			t.enterBlock(f, int32(i))
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: thread %d: target b%d not in f%d", ErrBadJump, t.ID, target, fn.ID)
+	return fmt.Errorf("%w: thread %d: target b%d not in f%d", ErrBadJump, t.ID, target, f.fnp.ID)
 }
 
 // InjectIRQ pushes an interrupt handler function onto the thread's call
@@ -431,10 +440,11 @@ func (t *Thread) jumpTo(f *frame, fn *kasm.Function, target int32) error {
 // on a lock is allowed — the handler runs, then the lock acquire retries —
 // which is exactly how a masked-interrupt-free kernel behaves.
 func (t *Thread) InjectIRQ(fn int32) {
-	if t.state == Done || t.m.K.Func(fn) == nil {
+	fnp := t.m.K.Func(fn)
+	if t.state == Done || fnp == nil {
 		return
 	}
-	t.stack = append(t.stack, frame{fn: fn})
+	t.pushFrame(fn, fnp)
 	if t.state == BlockedOnLock {
 		// The handler may proceed even though the original instruction is
 		// still waiting for its lock.

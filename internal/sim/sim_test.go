@@ -36,8 +36,8 @@ func runToCompletion(t *testing.T, th *Thread) []Event {
 	t.Helper()
 	var evs []Event
 	for th.State() == Runnable {
-		ev, err := th.Step()
-		if err != nil {
+		var ev Event
+		if err := th.Step(&ev); err != nil {
 			t.Fatalf("step failed: %v", err)
 		}
 		evs = append(evs, ev)
@@ -243,7 +243,8 @@ func TestLockBlocksSecondThread(t *testing.T) {
 	b := NewThread(m, 1, []Call{{Syscall: 0}})
 
 	// A acquires the lock.
-	ev, _ := a.Step()
+	var ev Event
+	a.Step(&ev)
 	if !ev.LockAcq {
 		t.Fatal("first step should acquire")
 	}
@@ -252,7 +253,7 @@ func TestLockBlocksSecondThread(t *testing.T) {
 	}
 	// B tries to acquire and blocks without consuming the instruction.
 	before := b.Steps
-	ev, _ = b.Step()
+	b.Step(&ev)
 	if ev.LockAcq || b.Steps != before {
 		t.Fatal("blocked thread must not make progress")
 	}
@@ -261,7 +262,7 @@ func TestLockBlocksSecondThread(t *testing.T) {
 	}
 	// Run A to completion; lock released; B becomes runnable again.
 	for a.State() == Runnable {
-		if _, err := a.Step(); err != nil {
+		if err := a.Step(&ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +273,7 @@ func TestLockBlocksSecondThread(t *testing.T) {
 		t.Fatalf("B should be unblocked, state = %v", b.State())
 	}
 	for b.State() == Runnable {
-		if _, err := b.Step(); err != nil {
+		if err := b.Step(&ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -352,7 +353,8 @@ func TestEmptySTIIsDone(t *testing.T) {
 	if th.State() != Done {
 		t.Fatalf("empty STI state = %v", th.State())
 	}
-	ev, err := th.Step()
+	var ev Event
+	err := th.Step(&ev)
 	if err != nil || ev.EnteredBlock || ev.Read || ev.Write {
 		t.Fatal("stepping a done thread must be a no-op")
 	}
@@ -367,8 +369,9 @@ func TestGeneratedKernelAllSyscallsTerminate(t *testing.T) {
 		m := NewMachine(k)
 		th := NewThread(m, 0, []Call{{Syscall: sc.ID, Args: []int64{1, 2, 3}}})
 		steps := 0
+		var ev Event
 		for th.State() == Runnable {
-			if _, err := th.Step(); err != nil {
+			if err := th.Step(&ev); err != nil {
 				t.Fatalf("syscall %s: %v", sc.Name, err)
 			}
 			steps++
@@ -390,8 +393,9 @@ func TestGeneratedKernelDeterministicExecution(t *testing.T) {
 			{Syscall: 0, Args: []int64{4}},
 			{Syscall: 3, Args: []int64{1, 2}},
 		})
+		var ev Event
 		for th.State() == Runnable {
-			if _, err := th.Step(); err != nil {
+			if err := th.Step(&ev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -416,7 +420,8 @@ func TestPCReportsNextInstruction(t *testing.T) {
 	if !pc.Valid(m.K) || pc.Idx != 0 {
 		t.Fatalf("initial PC = %v", pc)
 	}
-	if _, err := th.Step(); err != nil {
+	var ev Event
+	if err := th.Step(&ev); err != nil {
 		t.Fatal(err)
 	}
 	pc2 := th.PC()
@@ -457,9 +462,9 @@ func TestPropertyRandomSTIsSafe(t *testing.T) {
 		}
 		m := NewMachine(k)
 		th := NewThread(m, 0, calls)
+		var ev Event
 		for th.State() == Runnable {
-			ev, err := th.Step()
-			if err != nil {
+			if err := th.Step(&ev); err != nil {
 				return false
 			}
 			if (ev.Read || ev.Write) && (ev.Addr < 0 || int(ev.Addr) >= k.NumGlobals) {
@@ -483,8 +488,9 @@ func TestPropertyLocksAlwaysReleased(t *testing.T) {
 			Syscall: int32(int(sc) % len(k.Syscalls)),
 			Args:    []int64{int64(a % 8), int64(b % 8), 0},
 		}})
+		var ev Event
 		for th.State() == Runnable {
-			if _, err := th.Step(); err != nil {
+			if err := th.Step(&ev); err != nil {
 				return false
 			}
 		}
@@ -524,8 +530,9 @@ func TestInjectIRQRunsHandlerAndReturns(t *testing.T) {
 	th := NewThread(m, 0, []Call{{Syscall: 0}})
 
 	// Step past the first store, then inject.
+	var ev Event
 	for i := 0; i < 2; i++ {
-		if _, err := th.Step(); err != nil {
+		if err := th.Step(&ev); err != nil {
 			t.Fatal(err)
 		}
 	}

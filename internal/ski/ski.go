@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"snowcat/internal/kernel"
 	"snowcat/internal/sim"
@@ -208,24 +209,43 @@ func ExecuteSteps(k *kernel.Kernel, cti CTI, sched Schedule, stepLimit int) (*Re
 	return ExecuteHooked(k, cti, sched, stepLimit, nil)
 }
 
+// accessLogs is one execution's per-thread access recording. Executions
+// take their logs from logPool, so after warm-up recording appends into
+// retained capacity; each Result gets exact-length copies and never holds
+// a pooled buffer.
+type accessLogs [2][]syz.Access
+
+var logPool = sync.Pool{New: func() any { return new(accessLogs) }}
+
+// maxPooledAccesses bounds the capacity a log may keep in the pool, so one
+// runaway execution does not pin its log for the life of the process.
+const maxPooledAccesses = 1 << 16
+
+func (l *accessLogs) release() {
+	for i := range l {
+		if cap(l[i]) > maxPooledAccesses {
+			l[i] = nil
+		}
+		l[i] = l[i][:0]
+	}
+	logPool.Put(l)
+}
+
 // runSchedule is the executor core: the SKI uniprocessor scheduling loop
 // over two pre-built threads. hooks may be nil (the pre-planned-hints-only
 // path, bit-identical to the pre-hook executor).
 func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]*sim.Thread, hooks *ExecHooks) (*Result, error) {
+	logs := logPool.Get().(*accessLogs)
+	defer logs.release()
 	res := &Result{Covered: make([]bool, k.NumBlocks())}
 	res.CoveredBy[0] = make([]bool, k.NumBlocks())
 	res.CoveredBy[1] = make([]bool, k.NumBlocks())
-	// Access logs reach hundreds of entries on typical CTIs; starting the
-	// append ladder at a real capacity removes the early growslice copies
-	// that used to dominate the recording cost (capacity is invisible to
-	// the DeepEqual result contract).
-	res.Accesses[0] = make([]syz.Access, 0, 256)
-	res.Accesses[1] = make([]syz.Access, 0, 256)
 
 	hints := sched.Hints
 	irqs := append([]IRQHint(nil), sched.IRQs...)
 	cur := int32(0)
 	globalStep := 0
+	var ev sim.Event
 
 	// Done-ness is monotone and a thread only finishes during its own Step,
 	// so it is tracked in flags instead of re-querying State() on the
@@ -247,6 +267,10 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]*sim.Thre
 			}
 			if done[cur] && done[other] {
 				res.Steps = globalStep
+				for i, l := range logs {
+					res.Accesses[i] = make([]syz.Access, len(l))
+					copy(res.Accesses[i], l)
+				}
 				return res, nil
 			}
 			// Both threads stuck: with single-lock critical sections this
@@ -260,8 +284,7 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]*sim.Thre
 			hints = hints[1:]
 		}
 
-		ev, err := t.Step()
-		if err != nil {
+		if err := t.Step(&ev); err != nil {
 			return nil, fmt.Errorf("ski: executing %s: %w", cti, err)
 		}
 		// A runnable thread that could not progress (lock contention
@@ -279,7 +302,7 @@ func runSchedule(k *kernel.Kernel, cti CTI, sched Schedule, threads [2]*sim.Thre
 			res.CoveredBy[cur][ev.Block] = true
 		}
 		if ev.Read || ev.Write {
-			res.Accesses[cur] = append(res.Accesses[cur], syz.Access{
+			logs[cur] = append(logs[cur], syz.Access{
 				Ref: ev.Ref, Write: ev.Write, Addr: ev.Addr,
 				Value: ev.Value, Lockset: ev.Lockset, Step: globalStep,
 			})

@@ -186,9 +186,9 @@ func Run(k *kernel.Kernel, sti *STI) (*Profile, error) {
 	m := sim.NewMachine(k)
 	th := sim.NewThread(m, 0, sti.Calls)
 	p := &Profile{STI: sti, Covered: make([]bool, k.NumBlocks())}
+	var ev sim.Event
 	for th.State() == sim.Runnable {
-		ev, err := th.Step()
-		if err != nil {
+		if err := th.Step(&ev); err != nil {
 			return nil, fmt.Errorf("syz: profiling %s: %w", sti, err)
 		}
 		p.InstrTrace = append(p.InstrTrace, ev.Ref)
