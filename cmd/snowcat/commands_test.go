@@ -65,11 +65,9 @@ func TestSharedFlagSets(t *testing.T) {
 
 // TestCmdServeLoadgen drives the serving CLI end to end: a timed serve
 // run; loadgen -addr against the server serve builds, which must score
-// CTI requests; loadgen against an in-process one-shard fleet, and against
-// a 2-shard fleet once undisturbed and once with a mid-run shard
-// kill/restart (recovery verification required) — every run but the
-// chaos one must finish with zero failed requests — plus the flag
-// rejections.
+// CTI requests; loadgen against the same server started in-process —
+// both loadgen runs must finish with zero failed requests — plus the
+// flag rejections.
 func TestCmdServeLoadgen(t *testing.T) {
 	if err := cmdServe([]string{"-seed", "3", "-addr", "127.0.0.1:0", "-duration", "100ms"}); err != nil {
 		t.Fatal(err)
@@ -89,21 +87,9 @@ func TestCmdServeLoadgen(t *testing.T) {
 		"-requests", "20", "-schedules", "2", "-rate", "400"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdLoadgen([]string{"-seed", "4", "-shards", "2", "-ctis", "6",
-		"-requests", "40", "-rate", "500", "-clients", "8", "-schedules", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdLoadgen([]string{"-seed", "4", "-shards", "2", "-ctis", "6",
-		"-requests", "40", "-rate", "500", "-clients", "8", "-schedules", "1", "-kill", "0"}); err != nil {
-		t.Fatal(err)
-	}
 	for _, args := range [][]string{
 		{"-clients", "0"},
 		{"-rate", "-1"},
-		{"-shards", "0"},
-		{"-shards", "2", "-kill", "5"},
-		{"-addr", ts.URL, "-shards", "2"},
-		{"-addr", ts.URL, "-kill", "0"},
 	} {
 		if err := cmdLoadgen(args); err == nil {
 			t.Fatalf("loadgen %v accepted", args)

@@ -17,8 +17,8 @@
 //	razzer     — reproduce planted races with the Razzer variants (§5.6.1)
 //	snowboard  — compare cluster exemplar samplers (§5.6.2)
 //	serve      — run the batching prediction server (see internal/serve)
-//	loadgen    — drive open-loop /v1/predict_cti load at a server or at
-//	             an in-process sharded fleet (optional chaos kill/restart)
+//	loadgen    — drive open-loop /v1/predict_cti load at a server, or at
+//	             the serve command's server started in-process
 //
 // Every subcommand is deterministic given its -seed flag.
 package main
@@ -52,7 +52,7 @@ func init() {
 		{"snowboard", "compare cluster exemplar samplers", cmdSnowboard},
 		{"trace", "print an annotated interleaving timeline", cmdTrace},
 		{"serve", "run the batching prediction server (HTTP JSON API)", cmdServe},
-		{"loadgen", "drive open-loop load at a server or in-process fleet", cmdLoadgen},
+		{"loadgen", "drive open-loop load at a server or an in-process one", cmdLoadgen},
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // serveFlags registers the serving knobs shared by the serve and loadgen
 // subcommands and maps them onto a serve.Config (loadgen applies it to
-// every shard of its in-process fleet).
+// its in-process server).
 func serveFlags(fs *flag.FlagSet) func() serve.Config {
 	batch := fs.Int("max-batch", 32, "max graphs coalesced into one inference batch")
 	waitMS := fs.Float64("wait-ms", 2, "max milliseconds a batch waits for more requests")

@@ -1,7 +1,6 @@
 // Package atomicfile replaces files atomically, so a crash or a failed
 // write in the middle of a save leaves the previous file intact instead of
-// a truncated one. Model, dataset and fleet checkpoint files are all
-// written through it.
+// a truncated one. Model and dataset files are both written through it.
 package atomicfile
 
 import (

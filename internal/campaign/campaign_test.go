@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -146,6 +147,27 @@ func TestTrainPipeline(t *testing.T) {
 	}
 	if tm.ValidReport.Graphs == 0 {
 		t.Fatal("no validation report")
+	}
+}
+
+// TestTrainRejectsForeignKernelDataset pins the preloaded-dataset guard:
+// a dataset collected on the default kernel names blocks the small kernel
+// lacks, and training on it fails with ErrKernelMismatch instead of
+// index-panicking in the token cache.
+func TestTrainRejectsForeignKernelDataset(t *testing.T) {
+	big := kernel.Generate(kernel.DefaultConfig(1))
+	ds, err := dataset.NewCollector(big, 2).Collect(dataset.Config{Seed: 3, NumCTIs: 3, InterleavingsPerCTI: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := kernel.Generate(kernel.SmallConfig(1))
+	_, err = Train(small, TrainOptions{
+		Name:    "PIC-foreign",
+		Model:   pic.Config{Dim: 8, Layers: 1, Epochs: 1, Seed: 4},
+		Dataset: ds,
+	})
+	if !errors.Is(err, dataset.ErrKernelMismatch) {
+		t.Fatalf("Train on a foreign-kernel dataset: err %v, want ErrKernelMismatch", err)
 	}
 }
 

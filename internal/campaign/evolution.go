@@ -31,7 +31,8 @@ type TrainOptions struct {
 	Model pic.Config
 	Data  dataset.Config
 	// Dataset, when non-nil, is used instead of collecting per Data —
-	// the cached-dataset path (see dataset.SaveFile/LoadFile).
+	// the cached-dataset path (see dataset.SaveFile/LoadFile). Train
+	// rejects one naming blocks k lacks with dataset.ErrKernelMismatch.
 	Dataset *dataset.Dataset
 	// PretrainEpochs for the assembly encoder's masked-LM phase.
 	PretrainEpochs int
@@ -54,6 +55,8 @@ func Train(k *kernel.Kernel, opts TrainOptions) (*TrainedModel, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign: collecting training data: %w", err)
 		}
+	} else if err := ds.CheckBlocks(k.NumBlocks()); err != nil {
+		return nil, fmt.Errorf("campaign: preloaded dataset: %w", err)
 	}
 	train, valid, _ := ds.SplitByCTI(0.8, 0.2, opts.Data.Seed^0x5011d)
 

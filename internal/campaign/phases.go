@@ -15,8 +15,8 @@ import (
 )
 
 // The campaign pipeline is exposed phase by phase so other drivers — the
-// fleet coordinator foremost — can run the identical arithmetic while
-// owning the control flow (rounds, checkpoints, shard retries). Runner.Run
+// online learning loop (trainer.Learn) and the wall-clock benchmark — can
+// run the identical arithmetic while owning the control flow. Runner.Run
 // is itself just the composition of these phases; the pinned-history test
 // holds it bit-identical to the historical monolithic loop.
 
@@ -30,8 +30,8 @@ type CTIJob struct {
 // Stream validates the config and draws the canonical CTI stream — phase 0.
 // The stream is a pure function of (kernel, c.Seed, c.NumCTIs): every
 // driver that needs the same campaign draws the same jobs, which is what
-// lets a fleet coordinator at any shard count reproduce the single-process
-// run.
+// lets any other composition of the phases reproduce Runner.Run's
+// campaign.
 func (r *Runner) Stream(c Config) ([]CTIJob, error) {
 	if c.NumCTIs <= 0 {
 		return nil, fmt.Errorf("%w: NumCTIs must be positive, got %d", ErrInvalidConfig, c.NumCTIs)
@@ -71,8 +71,9 @@ func (r *Runner) ProfileAll(jobs []CTIJob, workers int) ([]Profiles, error) {
 }
 
 // Explorer builds the phase-2 explorer for this campaign (selection-plan
-// construction). Drivers that substitute their own predictor — the fleet
-// routes scoring through shard clients — still share the planning code.
+// construction). Callers that score through another predictor — the
+// learning loop scores through a serving client — still share the
+// planning code.
 func (r *Runner) Explorer(c Config) *mlpct.Explorer {
 	opts := c.Opts
 	if opts.Parallel <= 0 {
@@ -168,8 +169,7 @@ func (r *Runner) ExecuteAll(c Config, plans []*mlpct.Plan) ([][]ExecOutcome, err
 
 // Fold is the phase-4 accumulator: the cumulative race/block/bug sets, the
 // simulated clock, and the history points, settled one CTI at a time in
-// canonical order. It is the piece of a campaign that must survive a
-// checkpoint — State/RestoreState round-trip it exactly.
+// canonical order.
 type Fold struct {
 	hist   *History
 	races  *race.Set
@@ -288,62 +288,4 @@ func (f *Fold) Finish() *History {
 	hist.FinalRaces = f.races.Size()
 	hist.FinalBlocks = len(f.blocks)
 	return hist
-}
-
-// FoldState is a portable, gob-encodable snapshot of a Fold mid-campaign:
-// everything phase 4 has accumulated so far, in deterministic (sorted)
-// order so two snapshots of equal folds encode identically. It is the
-// payload of a fleet checkpoint.
-type FoldState struct {
-	Name   string
-	CTIs   int
-	Points []Point
-	Races  []race.Race
-	Blocks []int32
-	Bugs   []int32
-	Ledger explore.Snapshot
-}
-
-// State snapshots the fold.
-func (f *Fold) State() FoldState {
-	st := FoldState{
-		Name:   f.hist.Name,
-		CTIs:   f.hist.CTIs,
-		Points: append([]Point(nil), f.hist.Points...),
-		Races:  f.races.Races(), // already in deterministic key order
-		Ledger: f.led.Snapshot(),
-	}
-	for b := range f.blocks {
-		st.Blocks = append(st.Blocks, b)
-	}
-	sort.Slice(st.Blocks, func(i, j int) bool { return st.Blocks[i] < st.Blocks[j] })
-	for b := range f.hist.BugsFound {
-		st.Bugs = append(st.Bugs, b)
-	}
-	sort.Slice(st.Bugs, func(i, j int) bool { return st.Bugs[i] < st.Bugs[j] })
-	return st
-}
-
-// RestoreState replaces the fold's accumulated state with a snapshot —
-// resuming a checkpointed campaign, or rolling a round back after a shard
-// failure. The fold must have been built by NewFold with the same Config.
-func (f *Fold) RestoreState(st FoldState) error {
-	if st.CTIs != len(st.Points) {
-		return fmt.Errorf("campaign: fold snapshot with %d CTIs but %d points", st.CTIs, len(st.Points))
-	}
-	f.hist.Name = st.Name
-	f.hist.CTIs = st.CTIs
-	f.hist.Points = append([]Point(nil), st.Points...)
-	f.hist.BugsFound = make(map[int32]bool, len(st.Bugs))
-	for _, b := range st.Bugs {
-		f.hist.BugsFound[b] = true
-	}
-	f.races = race.NewSet()
-	f.races.Add(st.Races)
-	f.blocks = make(map[int32]bool, len(st.Blocks))
-	for _, b := range st.Blocks {
-		f.blocks[b] = true
-	}
-	f.led.Restore(st.Ledger)
-	return nil
 }

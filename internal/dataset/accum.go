@@ -17,8 +17,8 @@ import (
 //
 // Batch collection (Collector.Collect) samples unique schedules per CTI
 // and never replays, so it needs no Accumulator; the streaming loop —
-// where the fault layer retries executions and a restarted shard replays
-// a round — does.
+// where the fault layer retries executions and a caller may replay a
+// round — does.
 type Accumulator struct {
 	ds   *Dataset
 	idx  map[int64]*CTIGroup

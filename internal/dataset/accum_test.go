@@ -8,8 +8,8 @@ import (
 	"snowcat/internal/ski"
 )
 
-// The regression this pins: a fault-layer replay (or a fleet round rerun
-// after a shard restart) presents the same (CTI, schedule) twice, and the
+// The regression this pins: a fault-layer replay (or a round rerun after
+// a failed scoring call) presents the same (CTI, schedule) twice, and the
 // streamed dataset must count it once.
 func TestAccumulatorDedupesReplays(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(21))

@@ -233,6 +233,7 @@ func TestDecodeRejectsCorruptExamples(t *testing.T) {
 			ex.G.Edges = append(ex.G.Edges, ctgraph.Edge{From: 0, To: 0, Type: ctgraph.NumEdgeTypes})
 		}},
 		{"vertex type outside the table", func(ex *pic.Example) { ex.G.Vertices[0].Type = ctgraph.NumVertexTypes }},
+		{"negative block", func(ex *pic.Example) { ex.G.Vertices[0].Block = -1 }},
 		{"flow labels off the data-flow edges", func(ex *pic.Example) { ex.YFlow = append(ex.YFlow, false) }},
 		{"missing graph", func(ex *pic.Example) { ex.G = nil }},
 	}

@@ -14,10 +14,15 @@ import (
 
 // ErrCorrupt reports a decoded dataset whose examples do not fit together:
 // a missing group, example or graph, an edge endpoint outside its graph's
-// vertex list, a vertex or edge type outside its table, or a label slice
-// whose length differs from the population it labels. Such a dataset
-// would otherwise decode cleanly and index-panic inside training.
+// vertex list, a vertex or edge type outside its table, a negative block
+// ID, or a label slice whose length differs from the population it
+// labels. Such a dataset would otherwise decode cleanly and index-panic
+// inside training.
 var ErrCorrupt = errors.New("dataset: corrupt")
+
+// ErrKernelMismatch reports a dataset whose graphs name blocks the kernel
+// it is used with does not have: it was collected on another kernel.
+var ErrKernelMismatch = errors.New("dataset: kernel mismatch")
 
 // Encode serialises the dataset with gob+gzip. Datasets are the expensive
 // artifact of the pipeline — the paper spends hundreds of hours collecting
@@ -77,6 +82,9 @@ func (d *Dataset) check() error {
 				if v.Type >= ctgraph.NumVertexTypes {
 					return fmt.Errorf("%w: group %d example %d has vertex type %d", ErrCorrupt, gi, ei, v.Type)
 				}
+				if v.Block < 0 {
+					return fmt.Errorf("%w: group %d example %d has block %d", ErrCorrupt, gi, ei, v.Block)
+				}
 			}
 			interDF := 0
 			for _, e := range ex.G.Edges {
@@ -118,4 +126,22 @@ func LoadFile(path string) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: load: %w", err)
 	}
 	return Decode(data)
+}
+
+// CheckBlocks verifies that every vertex names a block below numBlocks,
+// the block count of the kernel the dataset is about to be used with. A
+// dataset collected on a bigger kernel fails with ErrKernelMismatch; one
+// from a smaller kernel passes, since block IDs alone cannot tell.
+func (d *Dataset) CheckBlocks(numBlocks int) error {
+	for gi, g := range d.Groups {
+		for ei, ex := range g.Examples {
+			for _, v := range ex.G.Vertices {
+				if int(v.Block) >= numBlocks {
+					return fmt.Errorf("%w: group %d example %d names block %d of a kernel with %d blocks",
+						ErrKernelMismatch, gi, ei, v.Block, numBlocks)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -165,16 +165,3 @@ func (l *Ledger) Snapshot() Snapshot {
 		Seconds:     l.seconds,
 	}
 }
-
-// Restore overwrites the ledger's counters from a snapshot — the inverse
-// of Snapshot, used when a campaign resumes from a checkpoint. The cost
-// model is not part of the snapshot and keeps its constructed value.
-func (l *Ledger) Restore(s Snapshot) {
-	l.proposed = s.Proposed
-	l.inferences = s.Inferences
-	l.execs = s.Execs
-	l.retries = s.Retries
-	l.skipped = s.Skipped
-	l.quarantined = s.Quarantined
-	l.seconds = s.Seconds
-}

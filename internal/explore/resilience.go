@@ -1,9 +1,6 @@
 package explore
 
 import (
-	"fmt"
-	"sort"
-
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/faults"
 	"snowcat/internal/ski"
@@ -116,47 +113,4 @@ func safeBuild(build func(Candidate) *ctgraph.Graph, c Candidate) (g *ctgraph.Gr
 		}
 	}()
 	return build(c)
-}
-
-// ResilienceState is a portable snapshot of the quarantine memory, sorted
-// so equal memories encode identically (checkpoint determinism).
-type ResilienceState struct {
-	FailedIDs    []int64
-	FailedCounts []int
-	Quarantined  []int64
-}
-
-// State captures the failure/quarantine memory.
-func (r *Resilience) State() ResilienceState {
-	var st ResilienceState
-	for id := range r.failed {
-		st.FailedIDs = append(st.FailedIDs, id)
-	}
-	sort.Slice(st.FailedIDs, func(i, j int) bool { return st.FailedIDs[i] < st.FailedIDs[j] })
-	st.FailedCounts = make([]int, len(st.FailedIDs))
-	for i, id := range st.FailedIDs {
-		st.FailedCounts[i] = r.failed[id]
-	}
-	for id := range r.quarantined {
-		st.Quarantined = append(st.Quarantined, id)
-	}
-	sort.Slice(st.Quarantined, func(i, j int) bool { return st.Quarantined[i] < st.Quarantined[j] })
-	return st
-}
-
-// RestoreState replaces the failure/quarantine memory from a snapshot.
-func (r *Resilience) RestoreState(st ResilienceState) error {
-	if len(st.FailedIDs) != len(st.FailedCounts) {
-		return fmt.Errorf("explore: resilience snapshot with %d ids but %d counts",
-			len(st.FailedIDs), len(st.FailedCounts))
-	}
-	r.failed = make(map[int64]int, len(st.FailedIDs))
-	for i, id := range st.FailedIDs {
-		r.failed[id] = st.FailedCounts[i]
-	}
-	r.quarantined = make(map[int64]bool, len(st.Quarantined))
-	for _, id := range st.Quarantined {
-		r.quarantined[id] = true
-	}
-	return nil
 }

@@ -19,7 +19,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"snowcat/internal/sim"
 	"snowcat/internal/ski"
@@ -160,23 +159,4 @@ func (s *Set) Size() int { return len(s.m) }
 func (s *Set) Has(r Race) bool {
 	_, ok := s.m[r]
 	return ok
-}
-
-// Races returns all unique races in deterministic order: sorted by Key,
-// the order fold snapshots and checkpoints encode.
-func (s *Set) Races() []Race {
-	type keyed struct {
-		key string
-		r   Race
-	}
-	ks := make([]keyed, 0, len(s.m))
-	for r := range s.m {
-		ks = append(ks, keyed{r.Key(), r})
-	}
-	slices.SortFunc(ks, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
-	out := make([]Race, len(ks))
-	for i, k := range ks {
-		out[i] = k.r
-	}
-	return out
 }

@@ -1,6 +1,5 @@
-// Serving benchmarks live in the external test package so they can drive
-// the server with the fleet package's open-loop load generator (fleet
-// imports serve, so the internal test package would cycle).
+// Serving benchmarks drive the server through its exported API only, over
+// real HTTP with the package's open-loop load generator.
 package serve_test
 
 import (
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"snowcat/internal/fleet"
 	"snowcat/internal/kernel"
 	"snowcat/internal/pic"
 	"snowcat/internal/serve"
@@ -103,8 +101,8 @@ func benchBody(b *testing.B, k *kernel.Kernel, batch int) []byte {
 // open-loop Poisson load at batch sizes {1,8,32} (schedules per
 // /v1/predict_cti request) and client-slot counts {1,8}. One op is one
 // graph. `make bench-serve` captures the grid in BENCH_serve.json and
-// derives the tail-latency ratio the coalescer fix targets (batch=8 p99
-// over batch=32 p99 at 8 clients, > 1 after the fix).
+// derives the server-observed p99 ratio of batch=8 over batch=32 at 8
+// clients.
 func BenchmarkServeHTTP(b *testing.B) {
 	k, m, tc := benchModel(b)
 	for _, batch := range []int{1, 8, 32} {
@@ -167,12 +165,12 @@ func benchServeOpenLoop(b *testing.B, s *serve.Server, ts *httptest.Server, body
 		requests = 300
 	}
 	b.ResetTimer()
-	res, err := fleet.RunLoadgen(fleet.LoadgenConfig{
+	res, err := serve.RunLoadgen(serve.LoadgenConfig{
 		Rate:     rate,
 		Requests: requests,
 		Clients:  clients,
 		Seed:     42,
-	}, 1, func(int) int { return 0 }, func(int) error { return post() })
+	}, func(int) error { return post() })
 	b.StopTimer()
 	if err != nil {
 		b.Fatal(err)

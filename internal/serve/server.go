@@ -50,12 +50,11 @@ type Config struct {
 	Deadline time.Duration
 	// CacheSize bounds the BaseContext LRU; <= 0 selects 64.
 	CacheSize int
-	// Kernel, when non-nil, enables the shard-local CTI station: the
-	// server can then score raw (CTI, schedules) requests, profiling the
-	// STIs and building the base graph itself on a station miss. Fleet
-	// shards set this so consistent-hash routing keeps each shard's CTI
-	// state hot. nil keeps the server kernel-agnostic: it scores
-	// in-process graph requests only, and /v1/predict_cti answers 501.
+	// Kernel, when non-nil, enables the CTI station: the server can then
+	// score raw (CTI, schedules) requests, profiling the STIs and building
+	// the base graph itself on a station miss. nil keeps the server
+	// kernel-agnostic: it scores in-process graph requests only, and
+	// /v1/predict_cti answers 501.
 	Kernel *kernel.Kernel
 	// StationSize bounds the CTI station LRU (in CTIs); <= 0 selects 64.
 	// Ignored when Kernel is nil.
@@ -149,7 +148,7 @@ type Server struct {
 	// cap; 0 until the first batch has been measured.
 	ewmaNS float64
 
-	station *CTIStation // shard-local CTI state; nil unless configured
+	station *CTIStation // per-CTI state; nil unless configured
 
 	mu     sync.Mutex
 	served map[string]uint64 // graphs scored per model version

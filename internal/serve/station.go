@@ -18,13 +18,12 @@ import (
 // in-process graph requests, not raw (CTI, schedule) work.
 var ErrNoStation = fmt.Errorf("%w: server has no CTI station (Config.Kernel unset)", ErrBadRequest)
 
-// stationEntry is the shard-local state of one CTI: the STI profiles and
+// stationEntry is the server-side state of one CTI: the STI profiles and
 // the schedule-independent base graph. Reconstructing it is the expensive
-// part of scoring a CTI the shard has never seen — two sequential profile
+// part of scoring a CTI the server has never seen — two sequential profile
 // runs plus the base-graph build cost several predictions' worth of time —
-// which is exactly why the fleet routes CTIs consistently: a shard that
-// keeps seeing the same partition pays this once per CTI, not once per
-// request.
+// which is why the station caches it: a server whose working set fits the
+// station pays this once per CTI, not once per request.
 type stationEntry struct {
 	a, b int64 // STI IDs, to catch CTI-ID reuse with different programs
 	pa   *syz.Profile
@@ -32,12 +31,12 @@ type stationEntry struct {
 	base *ctgraph.Base
 }
 
-// CTIStation is a bounded LRU of per-CTI shard state, keyed by CTI ID.
-// It is the fleet-facing entry point of a shard: clients send raw
+// CTIStation is a bounded LRU of per-CTI server state, keyed by CTI ID.
+// It is the entry point of /v1/predict_cti: clients send raw
 // (CTI, schedules) requests and the station profiles the STIs and builds
-// the base graph on a miss, so consistent-hash routing converts into
-// cache affinity. The derived pic.BaseContexts live in the server's
-// BaseCache, keyed by the base pointer the station keeps stable.
+// the base graph on a miss, so repeat requests for a CTI hit. The derived
+// pic.BaseContexts live in the server's BaseCache, keyed by the base
+// pointer the station keeps stable.
 //
 // Like BaseCache, misses build under the lock: concurrent misses for one
 // CTI deduplicate, and the second caller hits.
@@ -74,7 +73,7 @@ func NewCTIStation(k *kernel.Kernel, capacity int) *CTIStation {
 	}
 }
 
-// Entry returns the shard state of cti, profiling its STIs and building
+// Entry returns the station state of cti, profiling its STIs and building
 // the base graph on a miss. An entry whose cached STI IDs do not match
 // the request is rebuilt (CTI-ID reuse across kernel eras).
 func (st *CTIStation) Entry(cti ski.CTI) (*stationEntry, error) {
@@ -138,8 +137,7 @@ func (st *CTIStation) Counters() (hits, misses, evictions uint64) {
 func (s *Server) Station() *CTIStation { return s.station }
 
 // PredictCTI scores the given schedules of one CTI: the request shape of
-// /v1/predict_cti and of the fleet, where the server owns all per-CTI
-// state. On a station miss the server profiles the STIs and builds the
+// /v1/predict_cti, where the server owns all per-CTI state. On a station miss the server profiles the STIs and builds the
 // base graph itself; the derived graphs then ride the normal
 // admission/coalescing path (and the BaseContext LRU) exactly like
 // in-process graph requests. opts carries the admission options — Model,

@@ -16,7 +16,7 @@ import (
 )
 
 // stationFixture extends the serving fixture with raw CTIs and schedules,
-// the inputs of the CTI-level (fleet-facing) protocol.
+// the inputs of the CTI-level (/v1/predict_cti) protocol.
 type stationFixture struct {
 	*fixture
 	ctis   []ski.CTI
@@ -49,7 +49,7 @@ func newStationFixture(t testing.TB, seed uint64, ctis, schedsPer int) *stationF
 	return f
 }
 
-// TestPredictCTIMatchesGraphPath pins that the CTI-level path — shard-side
+// TestPredictCTIMatchesGraphPath pins that the CTI-level path — server-side
 // profiling, base build, WithSchedule — scores bit-identically to the
 // fixture's direct per-graph reference. The station rebuilds exactly the
 // state newFixture built, so the graphs must be equal.
@@ -282,14 +282,14 @@ func TestCoalescerAdaptiveFlush(t *testing.T) {
 
 // TestPredictCTIHTTPRoundTrip drives the wire protocol end to end: encode
 // a CTI request, POST it through the real handler, and require the scores
-// to be identical (post-JSON) to the in-process CTI path. Also exercises
-// the sharded HTTPClient against a one-shard fleet.
+// to be identical (post-JSON) to the in-process CTI path, through the
+// HTTPClient.
 func TestPredictCTIHTTPRoundTrip(t *testing.T) {
 	f := newStationFixture(t, 241, 2, 3)
 	s := f.newServer(t, Config{Kernel: f.k, StationSize: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	client := NewHTTPClient([]string{ts.URL}, 0)
+	client := NewHTTPClient(ts.URL)
 	for i, cti := range f.ctis {
 		want, err := s.PredictCTI(context.Background(), cti, f.scheds[i], Request{Wait: true})
 		if err != nil {
@@ -310,7 +310,7 @@ func TestPredictCTIHTTPRoundTrip(t *testing.T) {
 			t.Fatalf("cti%d: wire metadata differs", cti.ID)
 		}
 	}
-	snap, err := client.Stats(context.Background(), 0)
+	snap, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,23 +93,6 @@ func TestS4Registry(t *testing.T) {
 	}
 }
 
-func TestS4StateRoundTrip(t *testing.T) {
-	s := NewS4(0.2)
-	g := graphWithBlocks(1, 2)
-	Select(s, g, scored(0.5, 0.5, 0.51))
-	st, ok := Save(s)
-	if !ok {
-		t.Fatal("S4 is not a Snapshotter")
-	}
-	s2 := NewS4(0.2)
-	if err := Load(s2, st); err != nil {
-		t.Fatal(err)
-	}
-	if s2.trials[1] != 1 || s2.trials[2] != 1 {
-		t.Fatalf("restored trials %v", s2.trials)
-	}
-}
-
 func TestFromScoresCarriesThreshold(t *testing.T) {
 	p := FromScores([]float64{0.1, 0.9}, 0.37)
 	if p.Threshold != 0.37 {

@@ -7,12 +7,34 @@ import (
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/faults"
-	"snowcat/internal/fleet"
 	"snowcat/internal/pic"
+	"snowcat/internal/predictor"
 	"snowcat/internal/syz"
 )
 
-// The chaos property: a fleet shard dying mid-stream and the driver
+// errScorerDown is the failing scorer's error: the scoring backend went
+// away mid-round.
+var errScorerDown = errors.New("scorer down")
+
+// failingScorer scores through the in-process predictor, except where the
+// fault injector fires: there the call fails, as a remote scorer that died
+// mid-round would. attempt numbers the failures, so a replayed round draws
+// a fresh decision instead of failing forever.
+type failingScorer struct {
+	pred    *predictor.PIC
+	inj     *faults.Injector
+	attempt int
+}
+
+func (f *failingScorer) score(o Outcome, g *ctgraph.Graph) ([]float64, error) {
+	if f.inj.Decide(o.CTI.ID, o.Sched.Key(), f.attempt) != faults.None {
+		f.attempt++
+		return nil, errScorerDown
+	}
+	return f.pred.Score(g), nil
+}
+
+// The chaos property: a scoring call failing mid-stream and the loop
 // replaying the interrupted round from the top leaves the accumulated
 // dataset bit-identical to an undisturbed run — the replayed prefix
 // deduplicates instead of double-counting.
@@ -21,15 +43,14 @@ func TestBusShardDeathMidStreamReplays(t *testing.T) {
 	clean, _ := drain(t, col, outs, Config{})
 
 	m := pic.New(pic.Config{Dim: 12, Layers: 2, LR: 3e-3, Epochs: 1, Seed: 62, PosWeight: 8})
-	tc := pic.NewTokenCache(col.K, m.Vocab)
-	fl, err := fleet.New(col.K, m, tc, fleet.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	scorer := &failingScorer{
+		pred: predictor.NewPIC(m, pic.NewTokenCache(col.K, m.Vocab), "chaos"),
+		// The deterministic fault injector picks which scoring calls fail
+		// — the same chaos at every run of this test.
+		inj: faults.New(63, 0.3),
 	}
-	defer fl.Close()
-	client := fl.Client("chaos")
 
-	// Per-CTI base graphs, so the driver can score the graphs the stream
+	// Per-CTI base graphs, so the loop can score the graphs the stream
 	// will label (as the learn loop scores candidates before executing).
 	bases := map[int64]*ctgraph.Base{}
 	base := func(o Outcome) *ctgraph.Base {
@@ -49,17 +70,13 @@ func TestBusShardDeathMidStreamReplays(t *testing.T) {
 		return b
 	}
 
-	// The deterministic fault injector picks which publish the shard
-	// death interrupts — the same chaos at every run of this test.
-	inj := faults.New(63, 0.3)
 	bus := New(col, Config{Buffer: 3, Workers: 2})
 
-	// The driver streams in rounds: score through the fleet, publish. A
-	// shard death mid-round aborts the round after some outcomes already
-	// published; the driver restarts the shard and replays the round from
-	// the top, so the bus sees the aborted prefix twice.
+	// The loop streams in rounds: publish, then score. A failed scoring
+	// call aborts the round after some outcomes already published; the
+	// loop replays the round from the top, so the bus sees the aborted
+	// prefix twice.
 	const roundLen = 4
-	killed := 0
 	for start := 0; start < len(outs); start += roundLen {
 		end := start + roundLen
 		if end > len(outs) {
@@ -70,13 +87,7 @@ func TestBusShardDeathMidStreamReplays(t *testing.T) {
 			err := func() error {
 				for _, o := range round {
 					bus.Publish(o.CTI, o.Sched, o.Res)
-					if inj.Decide(o.CTI.ID, o.Sched.Key(), killed) != faults.None {
-						// The shard this CTI routes to dies now — after
-						// part of the round already streamed.
-						fl.Kill(fl.Ring().Shard(o.CTI.ID))
-						killed++
-					}
-					if _, err := client.ScoreE(base(o).WithSchedule(o.Sched)); err != nil {
+					if _, err := scorer.score(o, base(o).WithSchedule(o.Sched)); err != nil {
 						return err
 					}
 				}
@@ -85,18 +96,14 @@ func TestBusShardDeathMidStreamReplays(t *testing.T) {
 			if err == nil {
 				break
 			}
-			var down fleet.ShardDownError
-			if !errors.As(err, &down) {
-				t.Fatal(err)
-			}
-			if err := fl.Restart(down.Shard); err != nil {
+			if !errors.Is(err, errScorerDown) {
 				t.Fatal(err)
 			}
 			// Replay the whole round; already-published outcomes dedupe.
 		}
 	}
-	if killed == 0 {
-		t.Fatal("fault injector never killed a shard; raise the rate")
+	if scorer.attempt == 0 {
+		t.Fatal("fault injector never failed a scoring call; raise the rate")
 	}
 
 	chaotic, err := bus.Close()
@@ -104,7 +111,7 @@ func TestBusShardDeathMidStreamReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(clean, chaotic) {
-		t.Fatal("shard-death replay changed the accumulated dataset")
+		t.Fatal("scorer-failure replay changed the accumulated dataset")
 	}
 	if st := bus.Stats(); st.Deduped == 0 {
 		t.Fatal("replay never exercised the dedupe path")

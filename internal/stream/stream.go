@@ -15,8 +15,8 @@
 // seals the bus.
 //
 // Deduplication rides the dataset.Accumulator: a retried execution
-// replayed by the fault layer, or a round replayed after a fleet shard
-// restart, folds into the dataset exactly once.
+// replayed by the fault layer, or a round replayed after a failed
+// scoring call, folds into the dataset exactly once.
 package stream
 
 import (

@@ -122,7 +122,7 @@ func TestBusPublishAfterClosePanics(t *testing.T) {
 	b.Publish(outs[0].CTI, outs[0].Sched, outs[0].Res)
 }
 
-// Replayed outcomes — the fault layer retrying, a fleet round re-run —
+// Replayed outcomes — the fault layer retrying, a round re-run —
 // fold in exactly once.
 func TestBusDedupesReplays(t *testing.T) {
 	col, outs := streamFixture(t, 54, 3, 3)

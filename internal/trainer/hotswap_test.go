@@ -10,7 +10,6 @@ import (
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/dataset"
-	"snowcat/internal/fleet"
 	"snowcat/internal/pic"
 	"snowcat/internal/serve"
 	"snowcat/internal/ski"
@@ -19,10 +18,10 @@ import (
 
 // recordingPublisher snapshots each published version's expected scores
 // over a fixed probe set *before* the version goes live, then forwards to
-// the fleet. The loadgen attributes every response to exactly one version
+// the server. The loadgen attributes every response to exactly one version
 // by matching its scores against these snapshots.
 type recordingPublisher struct {
-	fl     *fleet.Fleet
+	next   Publisher
 	probes []*ctgraph.Graph
 	mu     sync.Mutex
 	scores map[string][][]float64 // version -> probe scores
@@ -42,7 +41,7 @@ func (p *recordingPublisher) record(version string, m *pic.Model, tc *pic.TokenC
 
 func (p *recordingPublisher) Publish(version string, m *pic.Model, tc *pic.TokenCache) error {
 	p.record(version, m, tc)
-	return p.fl.Publish(version, m, tc)
+	return p.next.Publish(version, m, tc)
 }
 
 func (p *recordingPublisher) lookup(version string) ([][]float64, float64, bool) {
@@ -53,18 +52,22 @@ func (p *recordingPublisher) lookup(version string) ([][]float64, float64, bool)
 }
 
 // The hot-swap proof: a background trainer publishes a rolling sequence
-// of retrained versions into a live fleet while an open-loop load
-// generator drives prediction traffic at every shard. The loadgen must
-// observe zero dropped responses, and every response must be attributable
-// to exactly one registered version — its scores and threshold match that
-// version's pre-publish snapshot, never a mix.
+// of retrained versions, through PublishTo, into a live coalescing server
+// while an open-loop load generator drives prediction traffic at it. The
+// loadgen must observe zero dropped responses, and every response must be
+// attributable to exactly one registered version — its scores and
+// threshold match that version's pre-publish snapshot, never a mix.
 func TestHotSwapUnderFleetLoad(t *testing.T) {
 	k, m, tc := learnFixture(t, 91)
-	fl, err := fleet.New(k, m, tc, fleet.Config{Shards: 3})
-	if err != nil {
+	reg := serve.NewRegistry()
+	if err := reg.Load("v1", m, tc); err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
+	if _, err := reg.Activate("v1"); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(reg, serve.Config{})
+	defer srv.Close()
 
 	// Probe graphs and trainer outcomes ride the same CTIs.
 	col := dataset.NewCollector(k, 92)
@@ -76,7 +79,6 @@ func TestHotSwapUnderFleetLoad(t *testing.T) {
 	}
 	var rigs []ctiRig
 	var probes []*ctgraph.Graph
-	var shards []int
 	for i := 0; i < 6; i++ {
 		cti, pa, pb, err := col.NewCTI(int64(i))
 		if err != nil {
@@ -97,7 +99,6 @@ func TestHotSwapUnderFleetLoad(t *testing.T) {
 			rig.scheds = append(rig.scheds, sched)
 			rig.res = append(rig.res, res)
 			probes = append(probes, rig.base.WithSchedule(sched))
-			shards = append(shards, fl.Ring().Shard(cti.ID))
 		}
 		rigs = append(rigs, rig)
 	}
@@ -106,7 +107,7 @@ func TestHotSwapUnderFleetLoad(t *testing.T) {
 	}
 
 	pub := &recordingPublisher{
-		fl: fl, probes: probes,
+		next: PublishTo(srv), probes: probes,
 		scores: make(map[string][][]float64),
 		thresh: make(map[string]float64),
 	}
@@ -135,19 +136,13 @@ func TestHotSwapUnderFleetLoad(t *testing.T) {
 		}
 	}()
 
-	// The foreground load: open-loop Poisson arrivals across all shards,
-	// each response checked against the version snapshots.
+	// The foreground load: open-loop Poisson arrivals, each response
+	// checked against the version snapshots.
 	var seen sync.Map // version -> struct{}
-	result, err := fleet.RunLoadgen(
-		fleet.LoadgenConfig{Rate: 4000, Requests: 800, Clients: 16, Seed: 94},
-		fl.Shards(),
-		func(i int) int { return shards[i%len(shards)] },
+	result, err := serve.RunLoadgen(
+		serve.LoadgenConfig{Rate: 4000, Requests: 800, Clients: 16, Seed: 94},
 		func(i int) error {
 			idx := i % len(probes)
-			srv := fl.Server(shards[idx])
-			if srv == nil {
-				return fmt.Errorf("shard %d down", shards[idx])
-			}
 			resp, err := srv.Predict(context.Background(), &serve.Request{
 				Graphs: []*ctgraph.Graph{probes[idx]}, Wait: true,
 			})
@@ -184,8 +179,8 @@ func TestHotSwapUnderFleetLoad(t *testing.T) {
 	if v := tr.Versions(); len(v) < 3 {
 		t.Fatalf("trainer published %d versions, want >= 3 beyond v1: %v", len(v), v)
 	}
-	if fl.Version() != fmt.Sprintf("v%d", len(rigs)+1) {
-		t.Fatalf("fleet finished on %s", fl.Version())
+	if v := srv.Registry().Active().Version; v != fmt.Sprintf("v%d", len(rigs)+1) {
+		t.Fatalf("server finished on %s", v)
 	}
 	var versions []string
 	seen.Range(func(key, _ any) bool {

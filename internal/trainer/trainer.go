@@ -3,8 +3,7 @@
 // PIC model on the fresh examples (pic.Model.TrainIncremental — the Adam
 // schedule persists across rounds, so chunked retraining equals one
 // continuous online pass), and publishes each retrained model as a new
-// immutable version into a serving target — a serve.Server's registry or
-// a whole fleet — under live traffic.
+// immutable version into a serve.Server's registry under live traffic.
 //
 // Version consistency during a rollout is the serve registry's refcount
 // contract, not the trainer's: the trainer only ever publishes a *clone*
@@ -24,7 +23,7 @@ import (
 )
 
 // Publisher rolls a new model version out to a serving target.
-// fleet.Fleet satisfies it natively; PublishTo adapts a single server.
+// PublishTo adapts a serve.Server; tests substitute a recording fake.
 type Publisher interface {
 	Publish(version string, m *pic.Model, tc *pic.TokenCache) error
 }
