@@ -32,7 +32,7 @@ func TestSharedFlagSets(t *testing.T) {
 
 	parallel := []string{"-parallel", "2"}
 	chaos := []string{"-fault-rate", "0.1", "-fault-seed", "3", "-retries", "2"}
-	serving := []string{"-max-batch", "8", "-wait-ms", "1", "-queue", "16", "-deadline-ms", "100", "-cache", "8"}
+	serving := []string{"-max-batch", "8", "-queue", "16", "-deadline-ms", "100", "-cache", "8"}
 	cases := []struct {
 		name   string
 		cmd    func([]string) error
@@ -67,7 +67,8 @@ func TestSharedFlagSets(t *testing.T) {
 // run; loadgen -addr against the server serve builds, which must score
 // CTI requests; loadgen against the same server started in-process —
 // both loadgen runs must finish with zero failed requests — plus the
-// flag rejections.
+// flag rejections, including the in-process server's flags alongside
+// -addr, where they would do nothing.
 func TestCmdServeLoadgen(t *testing.T) {
 	if err := cmdServe([]string{"-seed", "3", "-addr", "127.0.0.1:0", "-duration", "100ms"}); err != nil {
 		t.Fatal(err)
@@ -90,9 +91,15 @@ func TestCmdServeLoadgen(t *testing.T) {
 	for _, args := range [][]string{
 		{"-clients", "0"},
 		{"-rate", "-1"},
+		{"-addr", ts.URL, "-max-batch", "1"},
+		{"-addr", ts.URL, "-model", "x"},
 	} {
-		if err := cmdLoadgen(args); err == nil {
+		err := cmdLoadgen(args)
+		if err == nil {
 			t.Fatalf("loadgen %v accepted", args)
+		}
+		if args[0] == "-addr" && !strings.Contains(err.Error(), args[2]) {
+			t.Fatalf("loadgen %v: error %q does not name %s", args, err, args[2])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -34,6 +35,22 @@ func cmdLoadgen(args []string) error {
 	}
 	if *numCTIs <= 0 || *schedules <= 0 || *requests <= 0 || *clients <= 0 || *rate <= 0 {
 		return fmt.Errorf("-ctis, -schedules, -requests, -clients and -rate must be positive")
+	}
+	if *addr != "" {
+		// The model and the serving flags configure the in-process server;
+		// a running server has its own, so setting one would do nothing.
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "model", "max-batch", "queue", "deadline-ms", "cache", "parallel":
+				if err == nil {
+					err = fmt.Errorf("-%s configures the in-process server and cannot be used with -addr", f.Name)
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
 
 	url := *addr

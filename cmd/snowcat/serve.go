@@ -19,8 +19,7 @@ import (
 // subcommands and maps them onto a serve.Config (loadgen applies it to
 // its in-process server).
 func serveFlags(fs *flag.FlagSet) func() serve.Config {
-	batch := fs.Int("max-batch", 32, "max graphs coalesced into one inference batch")
-	waitMS := fs.Float64("wait-ms", 2, "max milliseconds a batch waits for more requests")
+	batch := fs.Int("max-batch", 32, "max graphs coalesced from the queue into one inference batch")
 	queue := fs.Int("queue", 256, "admission queue depth (full queue sheds non-waiting requests)")
 	deadlineMS := fs.Int("deadline-ms", 0, "default per-request deadline in milliseconds (0 = none)")
 	cache := fs.Int("cache", 64, "BaseContext cache capacity in CTIs")
@@ -28,7 +27,6 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 	return func() serve.Config {
 		return serve.Config{
 			MaxBatch:   *batch,
-			MaxWait:    time.Duration(*waitMS * float64(time.Millisecond)),
 			Workers:    *workers,
 			QueueDepth: *queue,
 			Deadline:   time.Duration(*deadlineMS) * time.Millisecond,

@@ -14,7 +14,7 @@ import (
 
 // baseFixture builds one CTI's base skeleton and n schedule-completed
 // graphs from it.
-func baseFixture(t *testing.T, seed uint64, n int) (*kernel.Kernel, *ctgraph.Base, []*ctgraph.Graph) {
+func baseFixture(t testing.TB, seed uint64, n int) (*kernel.Kernel, *ctgraph.Base, []*ctgraph.Graph) {
 	t.Helper()
 	k := kernel.Generate(kernel.SmallConfig(seed))
 	gen := syz.NewGenerator(k, seed+1)

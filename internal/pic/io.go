@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
 	"snowcat/internal/atomicfile"
@@ -13,11 +14,18 @@ import (
 )
 
 // ErrModelShape reports a decoded model whose tensors do not fit its
-// configuration: a missing component, a parameter whose values do not
-// fill Rows×Cols, a layer of the wrong shape, or a threshold outside
-// [0,1]. Such a model would otherwise decode cleanly and index-panic
-// inside Predict.
+// configuration: a missing component, a vocabulary without the reserved
+// [UNK] and [MASK] entries, a parameter whose values do not fill
+// Rows×Cols, a layer of the wrong shape, or a threshold outside [0,1].
+// Such a model would otherwise decode cleanly and index-panic inside
+// Predict. It also reports weights that could make Predict answer NaN: a
+// non-finite value, or magnitudes whose products can overflow float64.
 var ErrModelShape = errors.New("pic: model shape mismatch")
+
+// maxActivation is the largest worst-case activation magnitude Decode
+// accepts: far below math.MaxFloat64, so rounding in the bound itself
+// cannot hide an overflow, and far above any trained model's.
+const maxActivation = 1e300
 
 // Encode serialises the model (architecture, weights, vocabulary, tuned
 // threshold) with encoding/gob. Training caches are not serialised.
@@ -60,6 +68,11 @@ func (m *Model) checkShapes() error {
 	if d <= 0 || m.Vocab == nil || m.Enc == nil || m.Enc.Emb == nil || m.Enc.Out == nil ||
 		m.VType == nil || m.HintRole == nil || m.HintPos == nil || m.HintCtx == nil || m.Head == nil {
 		return fmt.Errorf("%w: Dim %d or a missing component", ErrModelShape, d)
+	}
+	// Every token outside the vocabulary reads row UnkID of the embedding
+	// table, so the reserved rows must exist.
+	if toks := m.Vocab.Tokens; len(toks) <= nn.MaskID || toks[nn.UnkID] != "[UNK]" || toks[nn.MaskID] != "[MASK]" {
+		return fmt.Errorf("%w: vocabulary lacks the reserved [UNK] and [MASK] entries", ErrModelShape)
 	}
 	type want struct {
 		p          *nn.Param
@@ -109,6 +122,45 @@ func (m *Model) checkShapes() error {
 	}
 	if !(m.Threshold >= 0 && m.Threshold <= 1) {
 		return fmt.Errorf("%w: threshold %v outside [0,1]", ErrModelShape, m.Threshold)
+	}
+	return m.checkRange(ps)
+}
+
+// checkRange verifies that inference cannot overflow into NaN: every
+// parameter is finite, and a worst-case bound on every stage's activations
+// stays below maxActivation. A stage's bound is its input bound times its
+// widest row of |weights|; GCN aggregation averages over in-edges, so no
+// bound depends on the graph.
+func (m *Model) checkRange(ps []*nn.Param) error {
+	for _, p := range ps {
+		for _, v := range p.Val {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: %s holds a non-finite value", ErrModelShape, p.Name)
+			}
+		}
+	}
+	amax := func(ps ...*nn.Param) (a float64) {
+		for _, p := range ps {
+			for _, v := range p.Val {
+				if v := math.Abs(v); v > a {
+					a = v
+				}
+			}
+		}
+		return a
+	}
+	d := float64(m.Cfg.Dim)
+	emb := amax(m.Enc.Emb.Table)
+	ctx := d*(emb+maxHintSlots*amax(m.HintPos.Table))*amax(m.HintCtx.W) + amax(m.HintCtx.B)
+	h := emb + amax(m.VType.Table) + amax(m.HintRole.Table) + ctx
+	peak := max(ctx, h) // max keeps an Inf or NaN bound
+	for _, l := range m.GCN {
+		h = d*h*(amax(l.WSelf)+float64(len(l.WRel))*amax(l.WRel...)) + amax(l.B)
+		peak = max(peak, h)
+	}
+	peak = max(peak, d*h*amax(m.Head.W)+amax(m.Head.B))
+	if !(peak <= maxActivation) {
+		return fmt.Errorf("%w: weights can overflow inference (activation bound %g)", ErrModelShape, peak)
 	}
 	return nil
 }

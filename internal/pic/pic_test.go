@@ -242,8 +242,9 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 // TestDecodeRejectsMisshapedModel encodes models whose tensors do not fit
-// their configuration and requires Decode to fail with ErrModelShape
-// instead of returning a model that index-panics inside Predict.
+// their configuration, or whose weights would score NaN, and requires
+// Decode to fail with ErrModelShape instead of returning a model that
+// index-panics or answers NaN inside Predict.
 func TestDecodeRejectsMisshapedModel(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -260,6 +261,17 @@ func TestDecodeRejectsMisshapedModel(t *testing.T) {
 			m.GCN[0].WRel = m.GCN[0].WRel[:NumRelations-1]
 		}},
 		{"head not Dim x 1", func(m *Model) { m.Head = nn.NewDense("head", m.Cfg.Dim, 2, nil) }},
+		{"empty vocabulary", func(m *Model) {
+			m.Vocab.Tokens = nil
+			m.Enc.Emb.Table = nn.NewParam("asm.emb", 0, m.Cfg.Dim, nil)
+		}},
+		{"NaN weight", func(m *Model) { m.Head.W.Val[0] = math.NaN() }},
+		{"infinite weight", func(m *Model) { m.GCN[0].WSelf.Val[0] = math.Inf(-1) }},
+		{"weights that overflow", func(m *Model) {
+			for i := range m.GCN[0].WSelf.Val {
+				m.GCN[0].WSelf.Val[i] = 1e300
+			}
+		}},
 		{"threshold above 1", func(m *Model) { m.Threshold = 1.5 }},
 		{"NaN threshold", func(m *Model) { m.Threshold = math.NaN() }},
 	}

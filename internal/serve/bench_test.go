@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"snowcat/internal/kernel"
 	"snowcat/internal/pic"
@@ -24,7 +23,7 @@ import (
 // process and launched on schedule whether or not earlier requests have
 // finished, so the measured tail includes every queueing effect — a
 // closed loop would let a slow server throttle its own offered load and
-// hide exactly the coalescer-hold pathology this grid exists to expose.
+// hide its queueing delay.
 //
 // Offered load is fixed per client slot (benchReqRate requests/s each),
 // so rows with the same clients compare at equal request load — and
@@ -34,20 +33,13 @@ import (
 // its station's cached base and scores it, about 0.1 ms per graph on its
 // one worker. Utilisation stays low in every row but batch=32/clients=8,
 // which offers ~6,200 graphs/s and keeps the worker about 80% busy, so
-// there queueing, not the coalescer, sets the tail. In the other rows
-// the coalescer's policy shows: a 32-graph request fills the batch and
-// flushes at once, while smaller requests wait (most of) the MaxWait
-// hold for company.
-const (
-	benchMaxWait = 2 * time.Millisecond
-	benchReqRate = 25.0 // offered requests/s per client slot
-)
+// there queueing sets the tail. The coalescer never holds a request:
+// it batches only what is already queued when the worker frees up.
+const benchReqRate = 25.0 // offered requests/s per client slot
 
 // benchModel builds the serving benchmark model: a single-layer Dim-6
 // model keeps scoring cheap, so the fixed per-request cost (TCP, HTTP
-// framing, JSON, queue hand-off) and the coalescer's hold policy stay
-// visible next to it — they are what batching and the adaptive cap trade
-// against.
+// framing, JSON, queue hand-off) stays visible next to it.
 func benchModel(b *testing.B) (*kernel.Kernel, *pic.Model, *pic.TokenCache) {
 	b.Helper()
 	k := kernel.Generate(kernel.SmallConfig(5001))
@@ -66,7 +58,7 @@ func newBenchServer(b *testing.B, k *kernel.Kernel, m *pic.Model, tc *pic.TokenC
 	if _, err := reg.Activate("bench"); err != nil {
 		b.Fatal(err)
 	}
-	s := serve.New(reg, serve.Config{Kernel: k, MaxBatch: 32, MaxWait: benchMaxWait, Workers: 1, QueueDepth: 4096})
+	s := serve.New(reg, serve.Config{Kernel: k, MaxBatch: 32, Workers: 1, QueueDepth: 4096})
 	b.Cleanup(func() { s.Close() })
 	return s
 }
@@ -100,9 +92,7 @@ func benchBody(b *testing.B, k *kernel.Kernel, batch int) []byte {
 // BenchmarkServeHTTP measures served latency over real HTTP under
 // open-loop Poisson load at batch sizes {1,8,32} (schedules per
 // /v1/predict_cti request) and client-slot counts {1,8}. One op is one
-// graph. `make bench-serve` captures the grid in BENCH_serve.json and
-// derives the server-observed p99 ratio of batch=8 over batch=32 at 8
-// clients.
+// graph. `make bench-serve` captures the grid in BENCH_serve.json.
 func BenchmarkServeHTTP(b *testing.B) {
 	k, m, tc := benchModel(b)
 	for _, batch := range []int{1, 8, 32} {
@@ -135,10 +125,9 @@ func benchServeOpenLoop(b *testing.B, s *serve.Server, ts *httptest.Server, body
 		}
 		return nil
 	}
-	// Prime the dispatcher's scoring EWMA (a cold server has no per-graph
-	// estimate, so the adaptive cap starts inert), fill the CTI station,
-	// and open one warm TCP connection per client slot so connection setup
-	// never lands in the tail of a sparse row.
+	// Fill the CTI station and open one warm TCP connection per client
+	// slot, so neither the first profile nor connection setup lands in
+	// the tail of a sparse row.
 	var prime sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		prime.Add(1)
@@ -183,12 +172,10 @@ func benchServeOpenLoop(b *testing.B, s *serve.Server, ts *httptest.Server, body
 	b.ReportMetric(float64(res.Aggregate.P90)/1e3, "p90-us")
 	b.ReportMetric(float64(res.Aggregate.P99)/1e3, "p99-us")
 
-	// Server-observed latency (admission to reply: queue + coalescer hold
-	// + scoring) is the coalescer-policy signal proper — it excludes the
-	// HTTP client stack and the load generator's own scheduling, both of
-	// which pick up multi-millisecond stalls from neighbours on a shared
-	// box. The BENCH_serve.json criterion (batch=32 p99 below batch=8 p99
-	// at 8 clients) is pinned on these.
+	// Server-observed latency (admission to reply: queue + scoring)
+	// excludes the HTTP client stack and the load generator's own
+	// scheduling, both of which pick up multi-millisecond stalls from
+	// neighbours on a shared box.
 	st := s.Stats()
 	b.ReportMetric(st.LatencyP50US, "svr-p50-us")
 	b.ReportMetric(st.LatencyP99US, "svr-p99-us")

@@ -120,7 +120,7 @@ func FuzzServeRequest(f *testing.F) {
 			// program fails to profile; that is an error, not a panic.
 			return
 		}
-		e, err := s.Station().Entry(cti)
+		e, err := s.station.Entry(cti)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,8 +55,7 @@ type WireSchedule struct {
 
 // PredictCTIRequest is the /v1/predict_cti body: a raw CTI plus candidate
 // schedules. The client ships no graphs — the server profiles the STIs and
-// builds the base graph itself (once, LRU-cached in its CTIStation), which
-// is what makes consistent-hash routing pay off.
+// builds the base graph itself (once, LRU-cached in its CTIStation).
 type PredictCTIRequest struct {
 	// Model pins the request to a version; empty serves the active model.
 	Model string `json:"model,omitempty"`
@@ -130,10 +129,10 @@ func (r *PredictCTIRequest) Validate(k *kernel.Kernel) error {
 		return fmt.Errorf("%w: no schedules", ErrBadRequest)
 	}
 	if err := r.CTI.A.validate(len(k.Syscalls)); err != nil {
-		return fmt.Errorf("cti %d program a: %w", r.CTI.ID, err)
+		return fmt.Errorf("%w: cti %d program a: %v", ErrBadRequest, r.CTI.ID, err)
 	}
 	if err := r.CTI.B.validate(len(k.Syscalls)); err != nil {
-		return fmt.Errorf("cti %d program b: %w", r.CTI.ID, err)
+		return fmt.Errorf("%w: cti %d program b: %v", ErrBadRequest, r.CTI.ID, err)
 	}
 	for i, s := range r.Schedules {
 		for j, h := range s.Hints {
@@ -156,12 +155,12 @@ func (r *PredictCTIRequest) Validate(k *kernel.Kernel) error {
 
 func (w WireSTI) validate(numSyscalls int) error {
 	if len(w.Calls) == 0 {
-		return fmt.Errorf("%w: sti%d has no calls", ErrBadRequest, w.ID)
+		return fmt.Errorf("sti%d has no calls", w.ID)
 	}
 	for i, c := range w.Calls {
 		if c.Syscall < 0 || c.Syscall >= int32(numSyscalls) {
-			return fmt.Errorf("%w: call %d: syscall %d outside the served kernel (%d syscalls)",
-				ErrBadRequest, i, c.Syscall, numSyscalls)
+			return fmt.Errorf("call %d: syscall %d outside the served kernel (%d syscalls)",
+				i, c.Syscall, numSyscalls)
 		}
 	}
 	return nil

@@ -2,12 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+
+	"snowcat/internal/sim"
+	"snowcat/internal/ski"
+	"snowcat/internal/syz"
 )
 
 // postJSON posts a body to the test server and decodes the JSON reply.
@@ -120,6 +127,57 @@ func TestHTTPStatusCodes(t *testing.T) {
 				t.Fatalf("status %d (error %q), want %d", code, e.Error, tc.want)
 			}
 		})
+	}
+}
+
+// TestHTTPClientKeepsSentinels pins that serving errors survive the wire:
+// HTTPClient wraps the sentinel a reply's message begins with and keeps
+// the server's message, so a caller tests a remote failure with errors.Is
+// as it would a local one. A reply that begins with no sentinel reads
+// "http <code>: <msg>".
+func TestHTTPClientKeepsSentinels(t *testing.T) {
+	f := newStationFixture(t, 1501, 1, 1)
+	call := func(s *Server, cti ski.CTI) error {
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		_, err := NewHTTPClient(ts.URL).PredictCTI(context.Background(), cti, f.scheds[0], 0)
+		return err
+	}
+
+	empty := New(NewRegistry(), Config{Kernel: f.k, Sync: true, Workers: 1})
+	defer empty.Close()
+	if err := call(empty, f.ctis[0]); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("empty registry: got %v, want ErrNoModel", err)
+	}
+
+	closed := f.newServer(t, Config{Kernel: f.k, Sync: true, Workers: 1})
+	closed.Close()
+	if err := call(closed, f.ctis[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed server: got %v, want ErrClosed", err)
+	}
+
+	live := f.newServer(t, Config{Kernel: f.k, Sync: true, Workers: 1})
+	bad := f.ctis[0]
+	bad.A = &syz.STI{ID: bad.A.ID, Calls: []sim.Call{{Syscall: int32(len(f.k.Syscalls))}}}
+	err := call(live, bad)
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("out-of-kernel syscall: got %v, want ErrBadRequest", err)
+	}
+	if !strings.Contains(err.Error(), "outside the served kernel") {
+		t.Fatalf("out-of-kernel syscall: %q lost the server's message", err)
+	}
+	if err := call(live, f.ctis[0]); err != nil {
+		t.Fatalf("well-formed request: %v", err)
+	}
+
+	err = replyError(http.StatusBadGateway, []byte("upstream gone\n"))
+	if err.Error() != "http 502: upstream gone" {
+		t.Fatalf("non-sentinel reply: %q", err)
+	}
+	for _, sentinel := range wireSentinels {
+		if errors.Is(err, sentinel) {
+			t.Fatalf("non-sentinel reply matches %v", sentinel)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"snowcat/internal/ski"
@@ -72,8 +73,7 @@ func (c *HTTPClient) Stats(ctx context.Context) (StatsSnapshot, error) {
 }
 
 // post sends one JSON request and decodes the reply. A non-200 reply
-// becomes an error naming its status class (errClass) and the server's
-// message.
+// becomes replyError's error.
 func (c *HTTPClient) post(ctx context.Context, path string, body, out any) error {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -91,28 +91,28 @@ func (c *HTTPClient) post(ctx context.Context, path string, body, out any) error
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 4<<10))
-		var e errorResponse
-		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", errClass(hresp.StatusCode), e.Error)
-		}
-		return fmt.Errorf("%s: %s", errClass(hresp.StatusCode), bytes.TrimSpace(msg))
+		return replyError(hresp.StatusCode, msg)
 	}
 	return json.NewDecoder(hresp.Body).Decode(out)
 }
 
-// errClass names an HTTP error status with the matching serving error so
-// callers can pattern-match retryable overload vs permanent rejection.
-func errClass(status int) string {
-	switch status {
-	case http.StatusServiceUnavailable:
-		return "overloaded or draining"
-	case http.StatusGatewayTimeout:
-		return "deadline expired"
-	case http.StatusBadRequest:
-		return "bad request"
-	case http.StatusConflict:
-		return "model version conflict"
-	default:
-		return fmt.Sprintf("http %d", status)
+// wireSentinels are the serving errors a reply can carry. The server
+// writes err.Error(), which begins with the sentinel's text.
+var wireSentinels = []error{ErrBadRequest, ErrModelVersion, ErrOverloaded, ErrDeadline, ErrNoModel, ErrClosed}
+
+// replyError turns an error reply back into an error: the server's
+// message, wrapping the sentinel it begins with so errors.Is works across
+// the wire, or "http <code>: <msg>" when it begins with none.
+func replyError(status int, body []byte) error {
+	msg := string(bytes.TrimSpace(body))
+	var e errorResponse
+	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		msg = e.Error
 	}
+	for _, sentinel := range wireSentinels {
+		if rest, ok := strings.CutPrefix(msg, sentinel.Error()); ok {
+			return fmt.Errorf("%w%s", sentinel, rest)
+		}
+	}
+	return fmt.Errorf("http %d: %s", status, msg)
 }

@@ -73,12 +73,6 @@ type LoadgenResult struct {
 	AchievedRPS float64
 }
 
-func (r LoadgenResult) String() string {
-	return fmt.Sprintf("n=%d errors=%d elapsed=%v p50=%v p90=%v p99=%v max=%v achieved=%.0f rps",
-		r.Requests, r.Errors, r.Elapsed,
-		r.Aggregate.P50, r.Aggregate.P90, r.Aggregate.P99, r.Aggregate.Max, r.AchievedRPS)
-}
-
 // RunLoadgen fires cfg.Requests requests at Poisson arrivals of cfg.Rate
 // per second; do(i) performs request i. A non-nil error counts as a
 // failure (its latency still records — errors that are fast-fail shed

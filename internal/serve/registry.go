@@ -1,18 +1,20 @@
 // Package serve exposes PIC inference as a service: a versioned model
-// registry with atomic hot-swap, a dynamic micro-batch coalescer feeding
-// the zero-alloc inference fast path, an LRU cache of per-CTI
+// registry with atomic hot-swap, a micro-batch coalescer that scores the
+// requests already queued together on the zero-alloc inference fast path
+// (it never holds a batch open for more), an LRU cache of per-CTI
 // pic.BaseContexts, admission control with load shedding and graceful
 // drain, and a stdlib net/http JSON API. An in-process Client implements
 // predictor.Predictor, so every exploration consumer (explore.Walk,
 // campaign, razzer, snowboard) runs unmodified against the service.
 //
 // The economic argument is the paper's ~190:1 ratio between one model
-// inference (~0.015 s) and one dynamic execution (~2.8 s): at scale the
-// predictor is the shared high-QPS component that fleets of lightweight
-// executors consult, so it earns a real service boundary. Served
-// predictions are bit-identical to calling pic.Model.PredictAllCtx
-// directly — batching, caching, and the wire layer only move work around,
-// they never change an operation (pinned by the equivalence tests).
+// inference (~0.015 s) and one dynamic execution (~2.8 s): one request
+// already carries a CTI's batch of candidate schedules, and any number of
+// executors can consult one predictor, so it earns a real service
+// boundary. Served predictions are bit-identical to calling
+// pic.Model.PredictAllCtx directly — batching, caching, and the wire
+// layer only move work around, they never change an operation (pinned by
+// the equivalence tests).
 package serve
 
 import (
@@ -31,8 +33,6 @@ var (
 	ErrUnknownModel = errors.New("serve: unknown model version")
 	// ErrDuplicateModel reports loading a version that already exists.
 	ErrDuplicateModel = errors.New("serve: duplicate model version")
-	// ErrModelActive reports unloading the currently active version.
-	ErrModelActive = errors.New("serve: cannot unload the active model")
 	// ErrKernelMismatch reports a model whose token cache covers a
 	// different block universe than the registry's first model — one
 	// registry serves one kernel version.
@@ -49,33 +49,24 @@ type Snapshot struct {
 	TC      *pic.TokenCache
 }
 
-// entry pairs a snapshot with its in-flight reference count. A batch holds
-// a reference for exactly the duration of its scoring, so Unload can drain
-// an old version before releasing it.
-type entry struct {
-	snap *Snapshot
-	refs int
-}
-
 // Registry holds the versioned model snapshots and the active-version
-// pointer. Activation is atomic with respect to Acquire: a batch sees
-// either the old or the new snapshot in full, never a mix, and every
-// response carries the version that actually scored it. All methods are
-// safe for concurrent use.
+// pointer. Activation is atomic with respect to Active: a batch reads
+// either the old or the new snapshot pointer and scores every graph on
+// it, so it never mixes versions, and every response carries the version
+// that actually scored it. A batch still scoring on a retired snapshot
+// keeps it alive by holding the pointer. Every loaded version stays
+// registered. All methods are safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	drained *sync.Cond // signalled when any entry's refcount hits zero
-	models  map[string]*entry
-	order   []string // load order, for stable listings
-	active  *entry
-	blocks  int // token-cache length every snapshot must match; 0 until first Load
+	mu     sync.Mutex
+	models map[string]*Snapshot
+	order  []string // load order, for stable listings
+	active *Snapshot
+	blocks int // token-cache length every snapshot must match; 0 until first Load
 }
 
 // NewRegistry returns an empty registry with no active model.
 func NewRegistry() *Registry {
-	r := &Registry{models: make(map[string]*entry)}
-	r.drained = sync.NewCond(&r.mu)
-	return r
+	return &Registry{models: make(map[string]*Snapshot)}
 }
 
 // Load registers a model under a fresh version without activating it. The
@@ -98,39 +89,24 @@ func (r *Registry) Load(version string, m *pic.Model, tc *pic.TokenCache) error 
 		return fmt.Errorf("%w: version %q covers %d blocks, registry serves %d",
 			ErrKernelMismatch, version, len(tc.IDs), r.blocks)
 	}
-	r.models[version] = &entry{snap: &Snapshot{Version: version, Model: m, TC: tc}}
+	r.models[version] = &Snapshot{Version: version, Model: m, TC: tc}
 	r.order = append(r.order, version)
 	return nil
 }
 
-// LoadEncoded decodes a gob-serialised model (pic.Decode, which calls
-// Rebind on every parameter so the snapshot is safe for the concurrent
-// inference paths), builds its token cache for the kernel the cache
-// builder closes over, and registers it.
-func (r *Registry) LoadEncoded(version string, data []byte, tokenCache func(m *pic.Model) *pic.TokenCache) error {
-	m, err := pic.Decode(data)
-	if err != nil {
-		return err
-	}
-	return r.Load(version, m, tokenCache(m))
-}
-
 // Activate atomically makes version the serving model and returns the
 // previously active snapshot (nil when this is the first activation).
-// In-flight batches keep scoring against the snapshot they acquired; new
+// In-flight batches keep scoring against the snapshot they read; new
 // batches see the new version.
 func (r *Registry) Activate(version string) (*Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.models[version]
+	snap, ok := r.models[version]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, version)
 	}
-	var old *Snapshot
-	if r.active != nil {
-		old = r.active.snap
-	}
-	r.active = e
+	old := r.active
+	r.active = snap
 	return old, nil
 }
 
@@ -138,65 +114,7 @@ func (r *Registry) Activate(version string) (*Snapshot, error) {
 func (r *Registry) Active() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.active == nil {
-		return nil
-	}
-	return r.active.snap
-}
-
-// Acquire pins the active snapshot for the duration of one batch: the
-// returned release must be called exactly once when scoring finishes.
-// Unload of that version blocks until every acquired reference is
-// released, so a hot-swap never yanks parameters out from under a batch.
-func (r *Registry) Acquire() (*Snapshot, func(), error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.active == nil {
-		return nil, nil, ErrNoModel
-	}
-	e := r.active
-	e.refs++
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			r.mu.Lock()
-			e.refs--
-			if e.refs == 0 {
-				r.drained.Broadcast()
-			}
-			r.mu.Unlock()
-		})
-	}
-	return e.snap, release, nil
-}
-
-// Unload removes a non-active version, blocking until its in-flight
-// references drain — the release half of a hot-swap (Activate the new
-// version, then Unload the old one once its last batch completes).
-func (r *Registry) Unload(version string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.models[version]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownModel, version)
-	}
-	if r.active == e {
-		return fmt.Errorf("%w: %q", ErrModelActive, version)
-	}
-	// Remove from the index first so listings stop showing the version,
-	// then wait out the in-flight batches (no new ones can start: Acquire
-	// only hands out the active snapshot).
-	delete(r.models, version)
-	for i, v := range r.order {
-		if v == version {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	for e.refs > 0 {
-		r.drained.Wait()
-	}
-	return nil
+	return r.active
 }
 
 // ModelInfo describes one registered version for listings.
@@ -213,12 +131,12 @@ func (r *Registry) List() []ModelInfo {
 	defer r.mu.Unlock()
 	out := make([]ModelInfo, 0, len(r.order))
 	for _, v := range r.order {
-		e := r.models[v]
+		snap := r.models[v]
 		out = append(out, ModelInfo{
 			Version:   v,
-			Active:    r.active == e,
-			Params:    e.snap.Model.NumParams(),
-			Threshold: e.snap.Model.Threshold,
+			Active:    r.active == snap,
+			Params:    snap.Model.NumParams(),
+			Threshold: snap.Model.Threshold,
 		})
 	}
 	return out

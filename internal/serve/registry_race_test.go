@@ -12,20 +12,19 @@ import (
 )
 
 // The swap-under-load contract, checked under -race: while a writer rolls
-// new versions through the registry in a tight loop — load, activate,
-// unload the retired version behind the drain — concurrent readers
-// acquire snapshots and every one of them must be exactly one registered
-// version, never a mix and never a dropped response. Version identity is
-// checked two ways: pointer identity against the table of models the
-// writer registered, and the per-version threshold stamped into each
-// model before it was loaded.
+// new versions through the registry in a tight loop — load, then
+// activate — concurrent readers read the active snapshot and every one
+// of them must be exactly one registered version, never a mix and never
+// missing. Version identity is checked two ways: pointer identity against
+// the table of models the writer registered, and the per-version
+// threshold stamped into each model before it was loaded.
 func TestRegistrySwapUnderLoad(t *testing.T) {
 	k := kernel.Generate(kernel.SmallConfig(41))
 	reg := NewRegistry()
 
 	// table maps version -> the exact *pic.Model registered under it.
 	// Entries are recorded before Load and never removed, so a reader
-	// holding a drained snapshot still finds its version.
+	// holding a retired snapshot still finds its version.
 	var table sync.Map
 	mkVersion := func(i int) (string, *pic.Model, *pic.TokenCache) {
 		m, tc := tinyModel(k, uint64(100+i))
@@ -58,38 +57,32 @@ func TestRegistrySwapUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
-				snap, release, err := reg.Acquire()
-				if err != nil {
-					errc <- fmt.Errorf("reader: %w", err)
+				snap := reg.Active()
+				if snap == nil {
+					errc <- errors.New("reader: no active snapshot")
 					return
 				}
 				want, ok := table.Load(snap.Version)
 				if !ok {
-					release()
-					errc <- fmt.Errorf("reader: acquired unregistered version %q", snap.Version)
+					errc <- fmt.Errorf("reader: read unregistered version %q", snap.Version)
 					return
 				}
 				wm := want.(*pic.Model)
 				if snap.Model != wm {
-					release()
 					errc <- fmt.Errorf("reader: version %q served a foreign model", snap.Version)
 					return
 				}
 				if snap.Model.Threshold != wm.Threshold {
-					release()
 					errc <- fmt.Errorf("reader: version %q threshold %v, want %v",
 						snap.Version, snap.Model.Threshold, wm.Threshold)
 					return
 				}
 				responses.Add(1)
-				release()
 			}
 		}()
 	}
 
-	// The writer: roll versions v2..v41 through, retiring each version
-	// two activations after it stopped being current. Unload blocks until
-	// readers drain their references — the drain path under load.
+	// The writer: roll versions v2..v41 through.
 	go func() {
 		defer done.Store(true)
 		for i := 1; i < versions; i++ {
@@ -101,13 +94,6 @@ func TestRegistrySwapUnderLoad(t *testing.T) {
 			if _, err := reg.Activate(v); err != nil {
 				errc <- fmt.Errorf("writer: activate %s: %w", v, err)
 				return
-			}
-			if i >= 2 {
-				old := fmt.Sprintf("v%d", i-1)
-				if err := reg.Unload(old); err != nil && !errors.Is(err, ErrModelActive) {
-					errc <- fmt.Errorf("writer: unload %s: %w", old, err)
-					return
-				}
 			}
 		}
 	}()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -124,8 +125,8 @@ func TestServedMatchesDirectPredict(t *testing.T) {
 	}{
 		{"sync-w1", Config{Sync: true, Workers: 1}},
 		{"sync-w4", Config{Sync: true, Workers: 4}},
-		{"async-w1", Config{Workers: 1, MaxWait: time.Millisecond}},
-		{"async-w4", Config{Workers: 4, MaxWait: time.Millisecond}},
+		{"async-w1", Config{Workers: 1}},
+		{"async-w4", Config{Workers: 4}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			s := f.newServer(t, mode.cfg)
@@ -223,7 +224,7 @@ func TestClientMatchesDirectPIC(t *testing.T) {
 func TestHotSwapUnderLoad(t *testing.T) {
 	f := newFixture(t, 201, 2, 3)
 	m2, tc2 := tinyModel(f.k, 999) // different weights: versions are distinguishable
-	s := f.newServer(t, Config{Workers: 2, MaxWait: 100 * time.Microsecond})
+	s := f.newServer(t, Config{Workers: 2})
 	if err := s.Registry().Load("v2", m2, tc2); err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +260,9 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			}
 		}(c)
 	}
-	// Swap mid-flight, then retire v1 (Unload blocks until its in-flight
-	// batches drain).
+	// Swap mid-flight.
 	time.Sleep(2 * time.Millisecond)
 	if err := s.Swap("v2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Registry().Unload("v1"); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -298,8 +295,9 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if seen["v2"] == 0 {
 		t.Fatal("no responses served by v2 after the swap")
 	}
-	if got := s.Registry().List(); len(got) != 1 || got[0].Version != "v2" || !got[0].Active {
-		t.Fatalf("registry after swap+unload: %+v", got)
+	got := s.Registry().List()
+	if len(got) != 2 || got[0].Version != "v1" || got[0].Active || got[1].Version != "v2" || !got[1].Active {
+		t.Fatalf("registry after swap: %+v, want v1 inactive and v2 active", got)
 	}
 }
 
@@ -308,7 +306,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 // ErrOverloaded.
 func TestAdmissionControl(t *testing.T) {
 	f := newFixture(t, 301, 1, 2)
-	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4, QueueDepth: 1, MaxWait: time.Millisecond})
+	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4, QueueDepth: 1})
 
 	// A request far larger than MaxBatch forms one oversized batch and
 	// occupies the dispatcher long enough to fill the queue behind it.
@@ -354,10 +352,26 @@ func TestAdmissionControl(t *testing.T) {
 // batch scores is rejected with ErrDeadline, not silently served late.
 func TestDeadlineSheds(t *testing.T) {
 	f := newFixture(t, 401, 1, 1)
-	s := f.newServer(t, Config{Workers: 1, MaxBatch: 64, MaxWait: 30 * time.Millisecond})
+	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4})
+
+	// A 2000-graph request occupies the dispatcher far longer than the
+	// deadline below, so the short-deadline request expires in the queue.
+	big := make([]*ctgraph.Graph, 2000)
+	for i := range big {
+		big[i] = f.graphs[i%len(f.graphs)]
+	}
+	bigDone := make(chan error, 1)
+	go func() {
+		_, err := s.Predict(context.Background(), &Request{Graphs: big, Wait: true})
+		bigDone <- err
+	}()
+	for s.Stats().Batches == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+
 	_, err := s.Predict(context.Background(), &Request{
 		Graphs:   f.graphs[:1],
-		Deadline: time.Now().Add(time.Millisecond), // expires inside the coalescing window
+		Deadline: time.Now().Add(time.Millisecond),
 		Wait:     true,
 	})
 	if !errors.Is(err, ErrDeadline) {
@@ -366,13 +380,16 @@ func TestDeadlineSheds(t *testing.T) {
 	if s.Stats().Expired != 1 {
 		t.Fatalf("expired counter = %d, want 1", s.Stats().Expired)
 	}
+	if err := <-bigDone; err != nil {
+		t.Fatalf("big request: %v", err)
+	}
 }
 
 // TestGracefulDrain closes the server while requests sit in the queue and
 // asserts every admitted request is served, not dropped.
 func TestGracefulDrain(t *testing.T) {
 	f := newFixture(t, 501, 1, 2)
-	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4, QueueDepth: 16, MaxWait: time.Millisecond})
+	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4, QueueDepth: 16})
 
 	big := make([]*ctgraph.Graph, 2000)
 	for i := range big {
@@ -419,14 +436,14 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestRegistryRefusesMismatches covers the registry edge cases: duplicate
-// versions, unknown versions, unloading the active model, and models of a
+// TestRegistryRefusesMismatches covers the registry edge cases: an empty
+// registry, duplicate versions, unknown versions, and models of a
 // different kernel.
 func TestRegistryRefusesMismatches(t *testing.T) {
 	f := newFixture(t, 601, 1, 1)
 	reg := NewRegistry()
-	if _, _, err := reg.Acquire(); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("Acquire on empty registry: %v", err)
+	if snap := reg.Active(); snap != nil {
+		t.Fatalf("empty registry has active version %q", snap.Version)
 	}
 	if err := reg.Load("v1", f.model, f.tc); err != nil {
 		t.Fatal(err)
@@ -440,9 +457,6 @@ func TestRegistryRefusesMismatches(t *testing.T) {
 	if _, err := reg.Activate("v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Unload("v1"); !errors.Is(err, ErrModelActive) {
-		t.Fatalf("unload active: %v", err)
-	}
 	// A model over a different kernel (different block count) is rejected.
 	k2 := kernel.Generate(kernel.DefaultConfig(77))
 	m2, tc2 := tinyModel(k2, 78)
@@ -451,43 +465,51 @@ func TestRegistryRefusesMismatches(t *testing.T) {
 	}
 }
 
-// TestRegistryUnloadDrains pins the drain contract: Unload of a retired
-// version blocks until the last acquired reference is released.
-func TestRegistryUnloadDrains(t *testing.T) {
-	f := newFixture(t, 701, 1, 1)
-	reg := NewRegistry()
-	for _, v := range []string{"v1", "v2"} {
-		if err := reg.Load(v, f.model, f.tc); err != nil {
-			t.Fatal(err)
-		}
+// TestGatherDrainsQueued pins the coalescer's batching rule. A Sync
+// server has a queue but no dispatcher to race with, so the test fills
+// the queue itself: gather takes whole requests in FIFO order until the
+// batch holds MaxBatch graphs, leaves the rest queued, and returns at
+// once when the queue runs dry.
+func TestGatherDrainsQueued(t *testing.T) {
+	f := newFixture(t, 1001, 1, 3)
+	s := f.newServer(t, Config{Sync: true, MaxBatch: 4})
+	mk := func(n int) *pending {
+		return &pending{req: &Request{Graphs: f.graphs[:n]}, reply: make(chan result, 1)}
 	}
-	if _, err := reg.Activate("v1"); err != nil {
-		t.Fatal(err)
+
+	// 1 + 3 graphs fill MaxBatch: b and c stay queued.
+	first, a, b, c := mk(1), mk(3), mk(1), mk(2)
+	for _, p := range []*pending{a, b, c} {
+		s.queue <- p
 	}
-	_, release, err := reg.Acquire()
-	if err != nil {
-		t.Fatal(err)
+	if got := s.gather(first); !slices.Equal(got, []*pending{first, a}) {
+		t.Fatalf("gathered %d requests, want first and a", len(got))
 	}
-	if _, err := reg.Activate("v2"); err != nil {
-		t.Fatal(err)
+	if len(s.queue) != 2 {
+		t.Fatalf("%d requests left queued, want 2", len(s.queue))
 	}
-	unloaded := make(chan struct{})
-	go func() {
-		if err := reg.Unload("v1"); err != nil {
-			t.Error(err)
-		}
-		close(unloaded)
-	}()
+	// 1 + 2 graphs stay under MaxBatch: the queue runs dry and gather
+	// returns with what it has.
+	if got := s.gather(<-s.queue); !slices.Equal(got, []*pending{b, c}) {
+		t.Fatalf("gathered %d requests, want b and c", len(got))
+	}
+	// A request is never split: 3 + 3 graphs overshoot MaxBatch together.
+	d, e := mk(3), mk(3)
+	s.queue <- e
+	if got := s.gather(d); !slices.Equal(got, []*pending{d, e}) {
+		t.Fatalf("gathered %d requests, want d and e", len(got))
+	}
+	// An empty queue returns the first request alone, without waiting.
+	lone := mk(1)
+	done := make(chan []*pending, 1)
+	go func() { done <- s.gather(lone) }()
 	select {
-	case <-unloaded:
-		t.Fatal("Unload returned while a reference was still held")
-	case <-time.After(10 * time.Millisecond):
-	}
-	release()
-	select {
-	case <-unloaded:
+	case got := <-done:
+		if !slices.Equal(got, []*pending{lone}) {
+			t.Fatalf("gathered %d requests from an empty queue, want 1", len(got))
+		}
 	case <-time.After(time.Second):
-		t.Fatal("Unload did not return after the last release")
+		t.Fatal("gather blocked on an empty queue")
 	}
 }
 

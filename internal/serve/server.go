@@ -34,12 +34,11 @@ var (
 // by New.
 type Config struct {
 	// MaxBatch caps how many graphs one inference batch may carry;
-	// <= 0 selects 32. Requests are never split across batches, so a
-	// request larger than MaxBatch forms its own oversized batch.
+	// <= 0 selects 32. The dispatcher coalesces requests already queued
+	// behind the first and never waits for more. Requests are never split
+	// across batches, so a request larger than MaxBatch forms its own
+	// oversized batch.
 	MaxBatch int
-	// MaxWait is how long the coalescer holds an underfull batch open for
-	// more requests; <= 0 selects 2ms. Sync mode ignores it.
-	MaxWait time.Duration
 	// Workers bounds the scoring pool per batch; <= 0 selects GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the admission queue (in requests); <= 0 selects
@@ -60,7 +59,7 @@ type Config struct {
 	// Ignored when Kernel is nil.
 	StationSize int
 	// Sync selects the deterministic synchronous mode: requests are
-	// scored inline on the caller's goroutine with no queue, timer, or
+	// scored inline on the caller's goroutine with no queue or
 	// dispatcher, so a single-client call sequence is exactly as
 	// reproducible as calling pic.Model.PredictAllCtx directly. Batched
 	// and sync predictions are bit-identical either way; Sync only
@@ -72,9 +71,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -118,7 +114,6 @@ type Response struct {
 type pending struct {
 	req   *Request
 	reply chan result
-	enq   time.Time // admission time: anchors the coalescer's flush deadline
 }
 
 type result struct {
@@ -141,12 +136,6 @@ type Server struct {
 
 	closed    sync.Once
 	scratches []*pic.Scratch // dispatcher-owned inference arenas
-
-	// ewmaNS is the exponentially weighted moving average of per-graph
-	// scoring nanoseconds. It is owned by the dispatcher goroutine
-	// (written in runBatch, read in gather) and feeds the adaptive batch
-	// cap; 0 until the first batch has been measured.
-	ewmaNS float64
 
 	station *CTIStation // per-CTI state; nil unless configured
 
@@ -186,9 +175,7 @@ func (s *Server) Cache() *BaseCache { return s.cache }
 
 // Swap activates version and invalidates the old snapshot's cached
 // BaseContexts — the hot-swap entry point. In-flight batches finish on
-// the old snapshot (their responses carry its version); callers that want
-// the old weights released call Registry().Unload(old) afterwards, which
-// blocks until the last such batch drains.
+// the old snapshot they read (their responses carry its version).
 func (s *Server) Swap(version string) error {
 	old, err := s.reg.Activate(version)
 	if err != nil {
@@ -225,7 +212,7 @@ func (s *Server) Predict(ctx context.Context, req *Request) (*Response, error) {
 		req = &r
 	}
 	if s.cfg.Sync {
-		resp, err := s.serveOne(req, nil)
+		resp, err := s.serveOne(req)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +220,7 @@ func (s *Server) Predict(ctx context.Context, req *Request) (*Response, error) {
 		return resp, nil
 	}
 
-	p := &pending{req: req, reply: make(chan result, 1), enq: start}
+	p := &pending{req: req, reply: make(chan result, 1)}
 	if req.Wait {
 		select {
 		case s.queue <- p:
@@ -309,9 +296,9 @@ func (s *Server) Stats() StatsSnapshot {
 	return out
 }
 
-// dispatch is the coalescer loop: take the first pending request, hold the
-// batch open for up to MaxWait (or until MaxBatch graphs), score it, and
-// go again. On Close it drains whatever admission already accepted —
+// dispatch is the coalescer loop: take the first pending request, add
+// whatever is already queued behind it (gather), score the batch, and go
+// again. On Close it drains whatever admission already accepted —
 // graceful shutdown never drops an admitted request.
 func (s *Server) dispatch() {
 	defer close(s.done)
@@ -323,7 +310,7 @@ func (s *Server) dispatch() {
 			for {
 				select {
 				case p := <-s.queue:
-					s.runBatch(s.gatherNoWait(p))
+					s.runBatch(s.gather(p))
 				default:
 					return
 				}
@@ -332,73 +319,10 @@ func (s *Server) dispatch() {
 	}
 }
 
-// adaptiveCap is the coalescer's batch-size target: enough graphs that
-// one batch scores for about MaxWait/2 at the measured per-graph rate.
-// Below the cap, waiting for stragglers amortises dispatch overhead for
-// nearly free; above it, scoring already dominates the latency budget
-// and holding the batch open (or growing it further) only buys tail
-// latency — the batch=32 p99 cliff BENCH_serve.json used to show.
-// Before the first measurement the cap is MaxBatch (no adaptation).
-// Dispatcher-owned: reads s.ewmaNS without synchronisation.
-func (s *Server) adaptiveCap() int {
-	if s.ewmaNS <= 0 {
-		return s.cfg.MaxBatch
-	}
-	capN := int(float64(s.cfg.MaxWait.Nanoseconds()) / 2 / s.ewmaNS)
-	if capN < 1 {
-		capN = 1
-	}
-	if capN > s.cfg.MaxBatch {
-		capN = s.cfg.MaxBatch
-	}
-	return capN
-}
-
-// gather coalesces requests into one batch: up to min(MaxBatch, adaptive
-// cap) graphs, holding an underfull batch open until the *oldest* queued
-// request is MaxWait old. Anchoring the flush deadline to admission time
-// (not batch-open time) means a request that already queued behind a
-// long batch is never held for a second full window, and the adaptive
-// cap flushes immediately once the gathered graphs are predicted to
-// score for longer than the latency budget anyway.
+// gather coalesces first with the requests already queued behind it, in
+// FIFO order, until the batch holds MaxBatch graphs or the queue is
+// empty. It never waits for a request to arrive and never splits one.
 func (s *Server) gather(first *pending) []*pending {
-	batch := []*pending{first}
-	n := len(first.req.Graphs)
-	capN := s.adaptiveCap()
-	if n >= s.cfg.MaxBatch {
-		return batch
-	}
-	if n >= capN {
-		s.stats.flushes.Add(1)
-		return batch
-	}
-	timer := time.NewTimer(time.Until(first.enq.Add(s.cfg.MaxWait)))
-	defer timer.Stop()
-	for {
-		select {
-		case p := <-s.queue:
-			batch = append(batch, p)
-			n += len(p.req.Graphs)
-			if n >= s.cfg.MaxBatch {
-				return batch
-			}
-			if n >= capN {
-				s.stats.flushes.Add(1)
-				return batch
-			}
-		case <-timer.C:
-			return batch
-		case <-s.quit:
-			// Shutdown: stop waiting for stragglers; the drain loop picks
-			// up anything still queued.
-			return batch
-		}
-	}
-}
-
-// gatherNoWait coalesces whatever is immediately queued (the drain path:
-// no timer, shutdown should not add MaxWait per batch).
-func (s *Server) gatherNoWait(first *pending) []*pending {
 	batch := []*pending{first}
 	n := len(first.req.Graphs)
 	for n < s.cfg.MaxBatch {
@@ -417,15 +341,14 @@ func (s *Server) gatherNoWait(first *pending) []*pending {
 // replies to every member. Expired or version-mismatched members are
 // rejected without scoring; the rest share one inference fan-out.
 func (s *Server) runBatch(batch []*pending) {
-	snap, release, err := s.reg.Acquire()
-	if err != nil {
+	snap := s.reg.Active()
+	if snap == nil {
 		for _, p := range batch {
 			s.stats.errors.Add(1)
-			p.reply <- result{err: err}
+			p.reply <- result{err: ErrNoModel}
 		}
 		return
 	}
-	defer release()
 
 	now := time.Now()
 	live := batch[:0]
@@ -456,14 +379,7 @@ func (s *Server) runBatch(batch []*pending) {
 	for len(s.scratches) < w {
 		s.scratches = append(s.scratches, pic.NewScratch())
 	}
-	t0 := time.Now()
 	scores := s.score(snap, gs, s.scratches)
-	perGraph := float64(time.Since(t0).Nanoseconds()) / float64(len(gs))
-	if s.ewmaNS == 0 {
-		s.ewmaNS = perGraph
-	} else {
-		s.ewmaNS = 0.8*s.ewmaNS + 0.2*perGraph
-	}
 
 	s.mu.Lock()
 	s.served[snap.Version] += uint64(len(gs))
@@ -482,15 +398,14 @@ func (s *Server) runBatch(batch []*pending) {
 }
 
 // serveOne is the synchronous path: score req inline against the current
-// snapshot. scratches == nil allocates fresh arenas (concurrent sync
-// callers must not share them).
-func (s *Server) serveOne(req *Request, scratches []*pic.Scratch) (*Response, error) {
-	snap, release, err := s.reg.Acquire()
-	if err != nil {
+// snapshot, on fresh scratch arenas (concurrent sync callers must not
+// share them).
+func (s *Server) serveOne(req *Request) (*Response, error) {
+	snap := s.reg.Active()
+	if snap == nil {
 		s.stats.errors.Add(1)
-		return nil, err
+		return nil, ErrNoModel
 	}
-	defer release()
 	if !req.Deadline.IsZero() && time.Now().After(req.Deadline) {
 		s.stats.expired.Add(1)
 		return nil, ErrDeadline
@@ -501,10 +416,9 @@ func (s *Server) serveOne(req *Request, scratches []*pic.Scratch) (*Response, er
 	}
 	s.stats.batches.Add(1)
 	s.stats.batched.Add(uint64(len(req.Graphs)))
-	if scratches == nil {
-		for i := 0; i < parallel.Workers(s.cfg.Workers); i++ {
-			scratches = append(scratches, pic.NewScratch())
-		}
+	scratches := make([]*pic.Scratch, parallel.Workers(s.cfg.Workers))
+	for i := range scratches {
+		scratches[i] = pic.NewScratch()
 	}
 	scores := s.score(snap, req.Graphs, scratches)
 	s.mu.Lock()

@@ -18,16 +18,15 @@ import (
 // in-process graph requests, not raw (CTI, schedule) work.
 var ErrNoStation = fmt.Errorf("%w: server has no CTI station (Config.Kernel unset)", ErrBadRequest)
 
-// stationEntry is the server-side state of one CTI: the STI profiles and
-// the schedule-independent base graph. Reconstructing it is the expensive
-// part of scoring a CTI the server has never seen — two sequential profile
-// runs plus the base-graph build cost several predictions' worth of time —
-// which is why the station caches it: a server whose working set fits the
-// station pays this once per CTI, not once per request.
+// stationEntry is the server-side state of one CTI: the schedule-
+// independent base graph built from its STI profiles. Building it is the
+// expensive part of scoring a CTI the server has never seen — two
+// sequential profile runs plus the base-graph build cost several
+// predictions' worth of time — which is why the station caches it: a
+// server whose working set fits the station pays this once per CTI, not
+// once per request.
 type stationEntry struct {
 	a, b int64 // STI IDs, to catch CTI-ID reuse with different programs
-	pa   *syz.Profile
-	pb   *syz.Profile
 	base *ctgraph.Base
 }
 
@@ -103,11 +102,7 @@ func (st *CTIStation) Entry(cti ski.CTI) (*stationEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: station profile of sti%d: %w", cti.B.ID, err)
 	}
-	e := &stationEntry{
-		a: cti.A.ID, b: cti.B.ID,
-		pa: pa, pb: pb,
-		base: st.builder.BuildBase(cti, pa, pb),
-	}
+	e := &stationEntry{a: cti.A.ID, b: cti.B.ID, base: st.builder.BuildBase(cti, pa, pb)}
 	st.idx[cti.ID] = st.lru.PushFront(&stationNode{id: cti.ID, entry: e})
 	for st.lru.Len() > st.capacity {
 		oldest := st.lru.Back()
@@ -118,13 +113,6 @@ func (st *CTIStation) Entry(cti ski.CTI) (*stationEntry, error) {
 	return e, nil
 }
 
-// Len returns the current entry count.
-func (st *CTIStation) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.lru.Len()
-}
-
 // Counters returns the cumulative hit/miss/eviction counts.
 func (st *CTIStation) Counters() (hits, misses, evictions uint64) {
 	st.mu.Lock()
@@ -132,13 +120,9 @@ func (st *CTIStation) Counters() (hits, misses, evictions uint64) {
 	return st.hits, st.misses, st.evictions
 }
 
-// Station returns the server's CTI station, or nil when the server was
-// configured without a kernel.
-func (s *Server) Station() *CTIStation { return s.station }
-
 // PredictCTI scores the given schedules of one CTI: the request shape of
-// /v1/predict_cti, where the server owns all per-CTI state. On a station miss the server profiles the STIs and builds the
-// base graph itself; the derived graphs then ride the normal
+// /v1/predict_cti, where the server owns all per-CTI state. On a station
+// miss the server profiles the STIs and builds the base graph itself; the derived graphs then ride the normal
 // admission/coalescing path (and the BaseContext LRU) exactly like
 // in-process graph requests. opts carries the admission options — Model,
 // Deadline and Wait (see Request); its Graphs are ignored.

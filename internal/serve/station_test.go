@@ -68,7 +68,7 @@ func TestPredictCTIMatchesGraphPath(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("CTI-level predictions differ from the direct graph path")
 	}
-	hits, misses, _ := s.Station().Counters()
+	hits, misses, _ := s.station.Counters()
 	if misses != uint64(len(f.ctis)) || hits != 0 {
 		t.Fatalf("station counters hits=%d misses=%d, want 0/%d", hits, misses, len(f.ctis))
 	}
@@ -84,7 +84,7 @@ func TestPredictCTIMatchesGraphPath(t *testing.T) {
 			}
 		}
 	}
-	hits, _, _ = s.Station().Counters()
+	hits, _, _ = s.station.Counters()
 	if hits != uint64(len(f.ctis)) {
 		t.Fatalf("second pass hits = %d, want %d", hits, len(f.ctis))
 	}
@@ -103,7 +103,6 @@ func TestStationEvictionUnderConcurrentMixedCTILoad(t *testing.T) {
 		StationSize: 3, // working set 8: guaranteed thrash
 		CacheSize:   2, // BaseContext LRU thrashes too
 		MaxBatch:    4,
-		MaxWait:     200 * time.Microsecond,
 		Workers:     2,
 	})
 	const clients, rounds = 4, 6
@@ -137,7 +136,7 @@ func TestStationEvictionUnderConcurrentMixedCTILoad(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	_, _, evictions := s.Station().Counters()
+	_, _, evictions := s.station.Counters()
 	if evictions == 0 {
 		t.Fatal("station working set exceeded capacity but nothing evicted")
 	}
@@ -151,18 +150,14 @@ func TestStationEvictionUnderConcurrentMixedCTILoad(t *testing.T) {
 	}
 }
 
-// TestHotSwapDrainMidCoalesce is the satellite race test for the registry:
-// model versions swap and unload while requests sit inside open coalescer
-// windows. Every response must be internally consistent (scored wholly by
-// one version) and no admitted request may be dropped (run under -race).
+// TestHotSwapDrainMidCoalesce is the race test for the registry: model
+// versions swap while requests queue and coalesce. Every response must be
+// internally consistent (scored wholly by one version) and no admitted
+// request may be dropped (run under -race).
 func TestHotSwapDrainMidCoalesce(t *testing.T) {
 	f := newFixture(t, 229, 2, 6)
 	m2, tc2 := tinyModel(f.k, 999)
-	s := f.newServer(t, Config{
-		MaxBatch: 8,
-		MaxWait:  2 * time.Millisecond, // wide window: swaps land mid-coalesce
-		Workers:  2,
-	})
+	s := f.newServer(t, Config{MaxBatch: 8, Workers: 2})
 	if err := s.Registry().Load("v2", m2, tc2); err != nil {
 		t.Fatal(err)
 	}
@@ -219,64 +214,6 @@ func TestHotSwapDrainMidCoalesce(t *testing.T) {
 	}
 	if want := uint64(160); snap.Requests != want {
 		t.Fatalf("requests = %d, want %d (admitted requests must never be dropped)", snap.Requests, want)
-	}
-}
-
-// TestAdaptiveCapBounds pins the adaptive flush cap arithmetic: the cap
-// targets MaxWait/2 of scoring work per batch and clamps to [1, MaxBatch].
-func TestAdaptiveCapBounds(t *testing.T) {
-	f := newFixture(t, 233, 1, 1)
-	s := f.newServer(t, Config{MaxBatch: 32, MaxWait: time.Millisecond})
-	if got := s.adaptiveCap(); got != 32 {
-		t.Fatalf("cold cap = %d, want MaxBatch while the EWMA is unprimed", got)
-	}
-	s.ewmaNS = 50e3 // 50us/graph -> 500us budget -> cap 10
-	if got := s.adaptiveCap(); got != 10 {
-		t.Fatalf("cap = %d, want 10 at 50us/graph under 1ms MaxWait", got)
-	}
-	s.ewmaNS = 10e6 // slower than the whole window: floor at 1
-	if got := s.adaptiveCap(); got != 1 {
-		t.Fatalf("cap = %d, want floor 1", got)
-	}
-	s.ewmaNS = 10 // absurdly fast: ceiling at MaxBatch
-	if got := s.adaptiveCap(); got != 32 {
-		t.Fatalf("cap = %d, want ceiling MaxBatch", got)
-	}
-}
-
-// TestCoalescerAdaptiveFlush pins the tail-latency fix end to end: with a
-// long MaxWait and the cost EWMA reporting expensive graphs, a burst that
-// fills the adaptive cap must flush immediately — completing far sooner
-// than the MaxWait hold — and the early flush must show up in the stats.
-func TestCoalescerAdaptiveFlush(t *testing.T) {
-	f := newFixture(t, 239, 2, 8)
-	const maxWait = 2 * time.Second // absurd on purpose: only early flush can finish in time
-	s := f.newServer(t, Config{MaxBatch: 64, MaxWait: maxWait, Workers: 1})
-	// Prime the EWMA with one batch, then pretend graphs cost 100ms each:
-	// the cap becomes MaxWait/2 / 100ms = 10 graphs. The write is ordered
-	// after the dispatcher's (EWMA updates precede reply delivery) and
-	// before its next read (queue send), so this does not race.
-	if _, err := s.Predict(context.Background(), &Request{Graphs: f.graphs[:4]}); err != nil {
-		t.Fatal(err)
-	}
-	s.ewmaNS = 100e6
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, g := range f.graphs[:10] {
-		wg.Add(1)
-		go func(g *ctgraph.Graph) {
-			defer wg.Done()
-			if _, err := s.Predict(context.Background(), &Request{Graphs: []*ctgraph.Graph{g}, Wait: true}); err != nil {
-				t.Errorf("predict: %v", err)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if el := time.Since(start); el > maxWait/2 {
-		t.Fatalf("burst took %v; adaptive cap failed to flush before the %v window", el, maxWait)
-	}
-	if s.Stats().AdaptiveFlush == 0 {
-		t.Fatal("no adaptive flushes recorded for a cap-filling burst")
 	}
 }
 

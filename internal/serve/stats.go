@@ -95,7 +95,6 @@ type stats struct {
 	expired  atomic.Uint64 // requests whose deadline passed before scoring
 	errors   atomic.Uint64 // requests failed for any other reason
 	swaps    atomic.Uint64 // model hot-swaps completed
-	flushes  atomic.Uint64 // batches flushed early by the adaptive cap
 	lat      latHist       // successful-request latency, admission to reply
 }
 
@@ -116,7 +115,6 @@ type StatsSnapshot struct {
 	Expired        uint64            `json:"expired"`
 	Errors         uint64            `json:"errors"`
 	Swaps          uint64            `json:"swaps"`
-	AdaptiveFlush  uint64            `json:"adaptive_flushes"`
 	LatencyP50US   float64           `json:"latency_p50_us"`
 	LatencyP90US   float64           `json:"latency_p90_us"`
 	LatencyP99US   float64           `json:"latency_p99_us"`
@@ -144,7 +142,6 @@ func (s *stats) snapshot() StatsSnapshot {
 		Expired:       s.expired.Load(),
 		Errors:        s.errors.Load(),
 		Swaps:         s.swaps.Load(),
-		AdaptiveFlush: s.flushes.Load(),
 	}
 	if out.Batches > 0 {
 		out.MeanBatch = float64(out.BatchedGraphs) / float64(out.Batches)

@@ -85,7 +85,6 @@ type Bus struct {
 	q      []Outcome
 	ctis   map[int64]*ctiState
 	acc    *dataset.Accumulator
-	recs   []Record
 	stats  Stats
 	closed bool
 	err    error // sticky first profiling failure
@@ -171,7 +170,6 @@ func (b *Bus) flushLocked() {
 		st := b.ctis[o.CTI.ID]
 		if b.acc.Add(o.CTI, st.pa, st.pb, o.Sched.Key(), ex) {
 			b.stats.Ingested++
-			b.recs = append(b.recs, Record{CTI: o.CTI.ID, Sched: o.Sched, Y: ex.Y, YFlow: ex.YFlow})
 		} else {
 			b.stats.Deduped++
 		}
@@ -239,12 +237,4 @@ func (b *Bus) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.stats
-}
-
-// Records returns the wire-form records of every ingested example, in
-// ingest order (see Record). The slice is shared; do not mutate.
-func (b *Bus) Records() []Record {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.recs
 }

@@ -5,11 +5,11 @@
 // continuous online pass), and publishes each retrained model as a new
 // immutable version into a serve.Server's registry under live traffic.
 //
-// Version consistency during a rollout is the serve registry's refcount
-// contract, not the trainer's: the trainer only ever publishes a *clone*
-// of its live training copy (the weights it keeps stepping are never the
-// weights anyone serves), the registry activates the clone atomically,
-// and in-flight batches finish on whatever snapshot they acquired. See
+// Version consistency during a rollout is the serve registry's contract,
+// not the trainer's: the trainer only ever publishes a *clone* of its
+// live training copy (the weights it keeps stepping are never the weights
+// anyone serves), the registry activates the clone atomically, and
+// in-flight batches finish on whatever snapshot pointer they read. See
 // DESIGN.md §13 for the full argument.
 package trainer
 

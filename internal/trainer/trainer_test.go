@@ -218,12 +218,7 @@ func TestTrainerMinNewGatesRounds(t *testing.T) {
 		t.Fatalf("warm-start steps = %d, want 4", tr.Steps())
 	}
 	// The served v1 snapshot must not have been touched by training.
-	snap, release, err := srv.Registry().Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	if snap.Model == m {
+	if snap := srv.Registry().Active(); snap.Model == m {
 		t.Fatal("registry serves the live training copy")
 	}
 }
