@@ -40,7 +40,8 @@ lint:
 	fi
 
 # Default gate: lint, the full suite, and the equivalence tests again
-# under the race detector — the inference fast-path set (base/context
+# under the race detector, which runs the scalar kernels — the GCN pins
+# against the edge-list reference, the inference fast-path set (base/context
 # sharing across goroutines, and the Razzer/Snowboard pins scored through
 # the serving client), the explore-pipeline pinned set (walks,
 # campaign histories, Razzer/Snowboard rows at parallel worker counts),
@@ -48,7 +49,7 @@ lint:
 # access logs).
 test: lint
 	$(GO) test ./...
-	$(GO) test -race -run 'TestKernelsBitEqualReference|TestCSREquivalenceProperty|TestWithScheduleMatchesMonolithicBuild|TestBaseSharedAcrossGoroutines|TestBaseContextBitEqual|TestPredictAllCtxMatches|TestSweepPathsAgree|TestClientRazzerAndSnowboardPinned' \
+	$(GO) test -race -run 'TestKernelsBitEqualReference|TestCSREquivalenceProperty|TestGCNBackwardMatchesReference|TestWithScheduleMatchesMonolithicBuild|TestBaseSharedAcrossGoroutines|TestBaseContextBitEqual|TestPredictAllCtxMatches|TestSweepPathsAgree|TestClientRazzerAndSnowboardPinned' \
 		./internal/tensor ./internal/nn ./internal/ctgraph ./internal/pic .
 	$(GO) test -race -run 'TestWalkInvariantToBatchAndWorkers|TestExecutePlanMatchesDirectExecution|TestPinnedPlansMatchPreRefactorLoops|TestPinnedHistoryMatchesPreRefactorRun|TestPinnedReproduceMatchesPreRefactorLoop|TestPinnedPICSampleMatchesPreRefactorLoop' \
 		./internal/explore ./internal/mlpct ./internal/campaign ./internal/razzer ./internal/snowboard
@@ -90,12 +91,15 @@ bench:
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkCampaign|BenchmarkPredictBatch|BenchmarkSweep' -benchtime 3x .
 
-# Inference + executor hot-path benchmarks; snapshots the numbers to
-# BENCH_predict.json. Covers single predicts, the direct and amortised
-# (BaseContext) schedule sweeps, and one interpreter execution.
+# Inference, training + executor hot-path benchmarks; snapshots the
+# numbers to BENCH_predict.json. Covers single predicts, the direct and
+# amortised (BaseContext) schedule sweeps, one interpreter execution, and
+# one training epoch at the learn-retrain model's shape.
 bench-predict:
 	$(GO) test -run xxx -bench 'BenchmarkPredictOne$$|BenchmarkPredictOneBase$$|BenchmarkScheduleSweep$$|BenchmarkScheduleSweepBase$$|BenchmarkExecuteInterp$$' \
 		-benchmem -benchtime 2s . | tee bench_predict.out
+	$(GO) test -run xxx -bench 'BenchmarkTrainEpoch$$' \
+		-benchmem -benchtime 2s ./internal/pic | tee -a bench_predict.out
 	awk 'BEGIN { print "[" } \
 		/^Benchmark/ { name=$$1; sub(/-[0-9]+$$/, "", name); \
 			printf "%s  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", sep, name, $$2, $$3, $$5, $$7; \

@@ -6,7 +6,6 @@ import (
 	"snowcat/internal/amplify"
 	"snowcat/internal/explore"
 	"snowcat/internal/kernel"
-	"snowcat/internal/pic"
 	"snowcat/internal/predictor"
 	"snowcat/internal/ski"
 	"snowcat/internal/strategy"
@@ -54,11 +53,11 @@ func cmdAmplify(args []string) error {
 		Led: explore.NewLedger(explore.PaperCosts()),
 	}
 	if *model != "" {
-		m, err := pic.LoadFile(*model)
+		m, tc, err := loadModel(*model, k)
 		if err != nil {
 			return err
 		}
-		opt.Pred = predictor.NewPIC(m, pic.NewTokenCache(k, m.Vocab), "PIC")
+		opt.Pred = predictor.NewPIC(m, tc, "PIC")
 		if *strat != "" {
 			if opt.Strat, err = strategy.New(*strat); err != nil {
 				return err

@@ -113,6 +113,21 @@ func kernelFromFlags(seed uint64, size string) (*kernel.Kernel, kernel.GenConfig
 	return kernel.Generate(cfg), cfg, nil
 }
 
+// loadModel reads a model file and tokenises kernel k under its
+// vocabulary. A vocabulary that does not cover k fails with an error
+// matching pic.ErrVocabMismatch, instead of scoring k's unknown tokens as
+// [UNK].
+func loadModel(path string, k *kernel.Kernel) (*pic.Model, *pic.TokenCache, error) {
+	m, err := pic.LoadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.CheckVocab(k); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, pic.NewTokenCache(k, m.Vocab), nil
+}
+
 func cmdGenKernel(args []string) error {
 	fs, seed := newFlagSet("genkernel")
 	size := fs.String("size", "small", "kernel size preset (small|default)")
@@ -239,11 +254,11 @@ func cmdFineTune(args []string) error {
 		return err
 	}
 	k2 := kernel.Generate(kernel.Mutate(baseCfg, "next", *seed+10, *frac, 2, 1))
-	m, err := pic.LoadFile(*model)
+	m, tc, err := loadModel(*model, k2)
 	if err != nil {
 		return err
 	}
-	base := &campaign.TrainedModel{Name: "PIC", Model: m, TC: pic.NewTokenCache(k2, m.Vocab)}
+	base := &campaign.TrainedModel{Name: "PIC", Model: m, TC: tc}
 	ft, err := campaign.FineTune(base, k2, campaign.TrainOptions{
 		Name: "PIC.ft",
 		Data: dataset.Config{Seed: *seed + 11, NumCTIs: *ctis, InterleavingsPerCTI: 6},
@@ -273,11 +288,10 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := pic.LoadFile(*model)
+	m, tc, err := loadModel(*model, k)
 	if err != nil {
 		return err
 	}
-	tc := pic.NewTokenCache(k, m.Vocab)
 	col := dataset.NewCollector(k, *seed+20)
 	ds, err := col.Collect(dataset.Config{Seed: *seed + 21, NumCTIs: *ctis, InterleavingsPerCTI: *inter, Parallel: *par})
 	if err != nil {
@@ -334,11 +348,10 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := pic.LoadFile(*model)
+	m, tc, err := loadModel(*model, k)
 	if err != nil {
 		return err
 	}
-	tc := pic.NewTokenCache(k, m.Vocab)
 
 	// The progress observer rides the pipeline's explore.Hooks: executed
 	// schedules are reported from the campaign's canonical fold and
@@ -435,11 +448,11 @@ func cmdRazzer(args []string) error {
 	}
 	var pred predictor.Predictor
 	if *model != "" {
-		m, err := pic.LoadFile(*model)
+		m, tc, err := loadModel(*model, k)
 		if err != nil {
 			return err
 		}
-		pred = predictor.NewPIC(m, pic.NewTokenCache(k, m.Vocab), "PIC")
+		pred = predictor.NewPIC(m, tc, "PIC")
 	}
 
 	var syscalls []int32
@@ -510,11 +523,11 @@ func cmdSnowboard(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := pic.LoadFile(*model)
+	m, tc, err := loadModel(*model, k)
 	if err != nil {
 		return err
 	}
-	pred := predictor.NewPIC(m, pic.NewTokenCache(k, m.Vocab), "PIC")
+	pred := predictor.NewPIC(m, tc, "PIC")
 	builder := campaign.NewRunner(k).Builder
 	gen := syz.NewGenerator(k, *seed+50)
 

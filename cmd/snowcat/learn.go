@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snowcat/internal/campaign"
-	"snowcat/internal/pic"
 	"snowcat/internal/strategy"
 	"snowcat/internal/trainer"
 )
@@ -39,11 +38,10 @@ func cmdLearn(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := pic.LoadFile(*model)
+	m, tc, err := loadModel(*model, k)
 	if err != nil {
 		return err
 	}
-	tc := pic.NewTokenCache(k, m.Vocab)
 	res, err := ef.resilience()
 	if err != nil {
 		return err

@@ -35,29 +35,25 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 	}
 }
 
-// serveModel loads the model file, or — when path is empty — builds a
-// fresh untrained model over the kernel, so the serving stack can be
-// exercised without a training run first.
-func serveModel(k *kernel.Kernel, path string, seed uint64) (*pic.Model, error) {
-	if path == "" {
-		return pic.New(pic.Config{Dim: 12, Layers: 2, Seed: seed}), nil
-	}
-	return pic.LoadFile(path)
-}
-
 // newServerFromFlags assembles kernel, model, registry, and server. The
-// server gets the kernel, so it scores /v1/predict_cti requests.
+// server gets the kernel, so it scores /v1/predict_cti requests. An empty
+// model path serves a fresh untrained model over the kernel, so the
+// serving stack can be exercised without a training run first.
 func newServerFromFlags(seed uint64, size, model string, mkConfig func() serve.Config) (*serve.Server, *kernel.Kernel, error) {
 	k, _, err := kernelFromFlags(seed, size)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := serveModel(k, model, seed+70)
-	if err != nil {
+	var m *pic.Model
+	var tc *pic.TokenCache
+	if model == "" {
+		m = pic.New(pic.Config{Dim: 12, Layers: 2, Seed: seed + 70})
+		tc = pic.NewTokenCache(k, m.Vocab)
+	} else if m, tc, err = loadModel(model, k); err != nil {
 		return nil, nil, err
 	}
 	reg := serve.NewRegistry()
-	if err := reg.Load("v1", m, pic.NewTokenCache(k, m.Vocab)); err != nil {
+	if err := reg.Load("v1", m, tc); err != nil {
 		return nil, nil, err
 	}
 	if _, err := reg.Activate("v1"); err != nil {

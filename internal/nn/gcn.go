@@ -20,10 +20,10 @@ type EdgePair struct {
 //
 // Finalize additionally builds a CSR view of each relation — in-edges
 // grouped by destination with prefix offsets, preserving insertion order
-// within each destination — which turns Infer's scatter-AXPY into a
-// sequential per-row gather (no write contention, better cache locality)
-// while keeping the floating-point accumulation order of every aggregate
-// element identical to the edge-list walk.
+// within each destination — which turns the aggregation's scatter-AXPY
+// into a sequential per-row gather (no write contention, better cache
+// locality) while keeping the floating-point accumulation order of every
+// aggregate element identical to the edge-list walk.
 type RelGraph struct {
 	NumNodes int
 	Rel      [][]EdgePair // per relation
@@ -142,9 +142,6 @@ func (g *RelGraph) Finalize() {
 	}
 }
 
-// Finalized reports whether Finalize has run since the last Reset.
-func (g *RelGraph) Finalized() bool { return g.finalized }
-
 // NumRel returns the relation count.
 func (g *RelGraph) NumRel() int { return len(g.Rel) }
 
@@ -156,16 +153,15 @@ func (g *RelGraph) NumRel() int { return len(g.Rel) }
 // the GCN family the paper uses (§4, PyTorch-Geometric GCN), extended with
 // per-relation weights so the five CT edge types (plus shortcut edges and
 // reverse directions) carry distinct semantics.
+//
+// A layer holds nothing but its parameters: Infer writes into caller-owned
+// buffers and Backward takes the layer's input and output back from the
+// caller, so any number of goroutines may run Infer on one shared layer.
 type GCNLayer struct {
 	In, Out int
 	WSelf   *Param
 	WRel    []*Param
 	B       *Param
-
-	// forward caches for the backward pass
-	h    *tensor.Matrix   // input
-	agg  []*tensor.Matrix // per relation: Â_r·H
-	mask *tensor.Matrix   // ReLU activation mask
 }
 
 // NewGCNLayer creates a layer with numRel relation weight matrices.
@@ -188,54 +184,21 @@ func (l *GCNLayer) Params() []*Param {
 	return ps
 }
 
-// Forward computes H' for graph g with node features h (NumNodes×In),
-// caching intermediates for Backward. Returns a freshly allocated output.
-// The caches make Forward unsafe for concurrent use; inference paths that
-// share one model across goroutines must use Infer instead.
-func (l *GCNLayer) Forward(g *RelGraph, h *tensor.Matrix) *tensor.Matrix {
-	n := g.NumNodes
-	l.h = h
-	out := tensor.New(n, l.Out)
-	// Self term.
-	tensor.MulInto(out, h, l.WSelf.Matrix())
-	out.AddRowVec(l.B.Val)
-	// Relation terms.
-	if cap(l.agg) < len(l.WRel) {
-		l.agg = make([]*tensor.Matrix, len(l.WRel))
-	}
-	l.agg = l.agg[:len(l.WRel)]
-	for r := range l.WRel {
-		if r >= g.NumRel() {
-			l.agg[r] = nil
-			continue
-		}
-		agg := tensor.New(n, l.In)
-		for _, e := range g.Rel[r] {
-			tensor.AXPY(g.Norm[r][e.Dst], h.Row(int(e.Src)), agg.Row(int(e.Dst)))
-		}
-		l.agg[r] = agg
-		tensor.MulAddInto(out, agg, l.WRel[r].Matrix())
-	}
-	l.mask = tensor.New(n, l.Out)
-	out.ReLUInPlace(l.mask)
-	return out
-}
-
-// Infer computes H' into out (NumNodes×Out) without touching the layer's
-// backward caches: it only reads the parameters, so any number of
-// goroutines may call Infer on one shared layer, each with its own out and
-// agg buffers. agg is caller-owned scratch; only its first row (In wide)
-// is used, as the per-destination gather buffer.
+// Infer computes H' into out (NumNodes×Out), the one forward pass of the
+// layer: inference and training both run it. It only reads the
+// parameters, so any number of goroutines may call Infer on one shared
+// layer, each with its own out and agg buffers. agg is caller-owned
+// scratch; only its first row (In wide) is used, as the per-destination
+// gather buffer.
 //
 // The aggregation walks the finalized CSR view destination by destination:
 // gather the in-edges of row d into the buffer, then multiply that one row
 // into out immediately (MulAddRowInto). Rows without in-edges are never
-// visited — exactly the rows whose all-zero aggregate contributed nothing
-// under MulAddInto's zero-skip — and each visited row accumulates its
-// incoming terms in edge-insertion order (CSR grouping is stable), so
-// Infer's output stays bit-identical to Forward's while skipping the
-// full-matrix zeroing and the zero-row scans the materialised aggregate
-// needed.
+// visited — exactly the rows whose all-zero aggregate would contribute
+// nothing under MulAddInto's zero-skip — and each visited row accumulates
+// its incoming terms in edge-insertion order (CSR grouping is stable), so
+// every element's floating-point chain is the one the edge-list scatter
+// into a materialised aggregate produced.
 func (l *GCNLayer) Infer(g *RelGraph, h, out, agg *tensor.Matrix) {
 	if !g.finalized {
 		panic("nn: GCNLayer.Infer on a RelGraph that was not finalized")
@@ -269,31 +232,64 @@ func (l *GCNLayer) Infer(g *RelGraph, h, out, agg *tensor.Matrix) {
 			tensor.MulAddRowInto(out.Row(d), buf, w)
 		}
 	}
-	out.ReLUInPlace(nil)
+	out.ReLUInPlace()
 }
 
-// Backward consumes the loss gradient w.r.t. this layer's output and
+// Backward consumes the loss gradient dout w.r.t. the layer's output and
 // returns the gradient w.r.t. its input, accumulating parameter gradients.
-// dout is modified in place (masked).
-func (l *GCNLayer) Backward(g *RelGraph, dout *tensor.Matrix) *tensor.Matrix {
-	dout.MulMaskInPlace(l.mask)
+// h and out are the input and output of the Infer call being
+// differentiated; dout is modified in place (masked).
+//
+// The ReLU mask is read off out: out > 0 is false exactly where the
+// pre-activation was not positive (max(v, 0) leaves +0, or a NaN that
+// fails the test the same way), and dout is multiplied by 0 there. The
+// relation-weight gradient needs each relation's aggregate Â_r·H, which
+// no buffer keeps: Backward gathers its rows from h again, in the order
+// and with the kernel Infer uses, visiting the rows with in-edges in
+// ascending order and adding each into the gradient with
+// MulATBAddRowInto. That is the accumulation chain MulATBAddInto ran over
+// a materialised aggregate, whose all-zero rows it skipped one
+// coefficient at a time.
+func (l *GCNLayer) Backward(g *RelGraph, h, out, dout *tensor.Matrix) *tensor.Matrix {
+	if !g.finalized {
+		panic("nn: GCNLayer.Backward on a RelGraph that was not finalized")
+	}
+	for i, v := range out.Data {
+		if !(v > 0) {
+			dout.Data[i] *= 0
+		}
+	}
 	dz := dout
 	// Bias and self weights.
 	dz.ColSumInto(l.B.Grad)
-	tensor.MulATBAddInto(l.WSelf.GradMatrix(), l.h, dz)
-	dh := tensor.New(l.h.Rows, l.In)
+	tensor.MulATBAddInto(l.WSelf.GradMatrix(), h, dz)
+	dh := tensor.New(h.Rows, l.In)
 	tensor.MulABTAddInto(dh, dz, l.WSelf.Matrix())
 	// Relation weights and scatter-backward through the aggregation.
-	dagg := tensor.New(l.h.Rows, l.In)
+	dagg := tensor.New(h.Rows, l.In)
+	buf := make([]float64, l.In)
 	for r := range l.WRel {
-		if r >= g.NumRel() || l.agg[r] == nil {
+		if r >= g.NumRel() {
 			continue
 		}
-		tensor.MulATBAddInto(l.WRel[r].GradMatrix(), l.agg[r], dz)
+		off, src := g.csrOff[r], g.csrSrc[r]
+		if len(src) == 0 {
+			continue // no edges: no weight gradient and nothing to scatter
+		}
+		norm := g.Norm[r]
+		gw := l.WRel[r].GradMatrix()
+		for d := 0; d < g.NumNodes; d++ {
+			lo, hi := off[d], off[d+1]
+			if lo == hi {
+				continue
+			}
+			tensor.GatherScaledInto(buf, norm[d], h.Data, l.In, src[lo:hi])
+			tensor.MulATBAddRowInto(gw, buf, dz.Row(d))
+		}
 		dagg.Zero()
 		tensor.MulABTAddInto(dagg, dz, l.WRel[r].Matrix())
 		for _, e := range g.Rel[r] {
-			tensor.AXPY(g.Norm[r][e.Dst], dagg.Row(int(e.Dst)), dh.Row(int(e.Src)))
+			tensor.AXPY(norm[e.Dst], dagg.Row(int(e.Dst)), dh.Row(int(e.Src)))
 		}
 	}
 	return dh

@@ -135,22 +135,6 @@ func (a *Adam) Step(params []*Param) {
 	}
 }
 
-// StepCount returns how many optimiser steps have been applied.
-func (a *Adam) StepCount() int { return a.t }
-
-// Resume restores the optimiser's step counter, continuing the
-// bias-correction schedule of an interrupted training run: the moment
-// estimates live on the Params themselves (M/V serialise with gob), so a
-// fresh Adam plus Resume(StepCount()) reproduces the exact update the
-// original optimiser would have taken next. Negative counts are clamped
-// to zero.
-func (a *Adam) Resume(steps int) {
-	if steps < 0 {
-		steps = 0
-	}
-	a.t = steps
-}
-
 // CheckFinite returns an error if any parameter value is NaN or Inf —
 // a guard the training loops run periodically.
 func CheckFinite(params []*Param) error {

@@ -39,12 +39,12 @@ func (m *Model) EnsureDFHead() {
 	}
 }
 
-// flowFeatures computes the final vertex representations and assembles the
-// per-InterDF-edge feature matrix [h_src ; h_dst].
-func (m *Model) flowFeatures(g *ctgraph.Graph, tc *TokenCache) (*tensor.Matrix, []int) {
+// flowFeatures computes the final vertex representations in s and
+// assembles the per-InterDF-edge feature matrix [h_src ; h_dst].
+func (m *Model) flowFeatures(g *ctgraph.Graph, tc *TokenCache, s *Scratch) (*tensor.Matrix, []int) {
 	idx := g.InterDFEdges()
-	_, _, acts, _ := m.forward(g, tc)
-	h := acts[len(acts)-1]
+	m.forward(g, tc, s, nil)
+	h := s.acts[len(m.GCN)]
 	dim := m.Cfg.Dim
 	x := tensor.New(len(idx), 2*dim)
 	for row, ei := range idx {
@@ -60,7 +60,9 @@ func (m *Model) flowFeatures(g *ctgraph.Graph, tc *TokenCache) (*tensor.Matrix, 
 // realised under the graph's schedule.
 func (m *Model) PredictFlows(g *ctgraph.Graph, tc *TokenCache) []float64 {
 	m.EnsureDFHead()
-	x, idx := m.flowFeatures(g, tc)
+	s := scratchPool.Get().(*Scratch)
+	x, idx := m.flowFeatures(g, tc, s)
+	scratchPool.Put(s)
 	if len(idx) == 0 {
 		return nil
 	}
@@ -84,12 +86,13 @@ func (m *Model) TrainDF(examples []*FlowExample, tc *TokenCache, epochs int, pos
 	opt := nn.NewAdam(m.Cfg.LR)
 	params := m.DFHead.Params()
 	rng := xrand.New(m.Cfg.Seed ^ 0xdf7a)
+	s := NewScratch()
 	var losses []float64
 	for ep := 0; ep < epochs; ep++ {
 		total, n := 0.0, 0
 		for _, i := range rng.Perm(len(examples)) {
 			ex := examples[i]
-			x, idx := m.flowFeatures(ex.G, tc)
+			x, idx := m.flowFeatures(ex.G, tc, s)
 			if len(idx) == 0 {
 				continue
 			}

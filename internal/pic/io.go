@@ -10,6 +10,7 @@ import (
 
 	"snowcat/internal/atomicfile"
 	"snowcat/internal/ctgraph"
+	"snowcat/internal/kernel"
 	"snowcat/internal/nn"
 )
 
@@ -21,6 +22,11 @@ import (
 // Predict. It also reports weights that could make Predict answer NaN: a
 // non-finite value, or magnitudes whose products can overflow float64.
 var ErrModelShape = errors.New("pic: model shape mismatch")
+
+// ErrVocabMismatch reports a model whose vocabulary lacks a token of a
+// kernel's blocks. Such a token reads the [UNK] embedding row, so the
+// model would score that kernel on features it never trained with.
+var ErrVocabMismatch = errors.New("pic: model vocabulary does not cover the kernel")
 
 // maxActivation is the largest worst-case activation magnitude Decode
 // accepts: far below math.MaxFloat64, so rounding in the bound itself
@@ -161,6 +167,30 @@ func (m *Model) checkRange(ps []*nn.Param) error {
 	peak = max(peak, d*h*amax(m.Head.W)+amax(m.Head.B))
 	if !(peak <= maxActivation) {
 		return fmt.Errorf("%w: weights can overflow inference (activation bound %g)", ErrModelShape, peak)
+	}
+	return nil
+}
+
+// CheckVocab returns an error matching ErrVocabMismatch when any token of
+// k's blocks maps to [UNK] under the model's vocabulary. Every model New
+// builds covers every kernel the generator emits (BaseVocab spans the
+// ISA), so only a model built from a narrower vocabulary fails it.
+func (m *Model) CheckVocab(k *kernel.Kernel) error {
+	unknown, total, first := 0, 0, ""
+	for _, b := range k.Blocks {
+		for _, tok := range b.TokenText() {
+			total++
+			if m.Vocab.ID(tok) == nn.UnkID {
+				if unknown == 0 {
+					first = tok
+				}
+				unknown++
+			}
+		}
+	}
+	if unknown > 0 {
+		return fmt.Errorf("%w: %d of %d block tokens of kernel %s read [UNK] (first %q)",
+			ErrVocabMismatch, unknown, total, k.Version, first)
 	}
 	return nil
 }

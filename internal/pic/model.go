@@ -21,6 +21,7 @@ package pic
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kasm"
@@ -192,15 +193,10 @@ func (m *Model) NumParams() int {
 	return n
 }
 
-// relGraph converts a CT graph into the GCN adjacency: relation t carries
-// the forward edges of edge type t, relation NumEdgeTypes+t the reverses.
-func relGraph(g *ctgraph.Graph) *nn.RelGraph {
-	return relGraphInto(nil, g)
-}
-
-// relGraphInto is relGraph with buffer reuse: a non-nil rg is Reset and
-// rebuilt in place, so the steady-state inference loop converts graphs to
-// adjacencies without allocating.
+// relGraphInto converts a CT graph into the GCN adjacency: relation t
+// carries the forward edges of edge type t, relation NumEdgeTypes+t the
+// reverses. A non-nil rg is Reset and rebuilt in place, so the
+// steady-state loop converts graphs to adjacencies without allocating.
 func relGraphInto(rg *nn.RelGraph, g *ctgraph.Graph) *nn.RelGraph {
 	if rg == nil {
 		rg = nn.NewRelGraph(len(g.Vertices), NumRelations)
@@ -395,36 +391,18 @@ func (m *Model) backwardFeatures(g *ctgraph.Graph, tc *TokenCache, fc *featCache
 	}
 }
 
-// forward runs the full model, returning the per-vertex logits and the
-// intermediates needed for backward. This is the training path; it caches
-// state on the GCN layers, so it must not run concurrently on one model.
-func (m *Model) forward(g *ctgraph.Graph, tc *TokenCache) (logits *tensor.Matrix, rg *nn.RelGraph, acts []*tensor.Matrix, fc *featCache) {
-	rg = relGraph(g)
-	fc = &featCache{}
-	h := tensor.New(len(g.Vertices), m.Cfg.Dim)
-	m.features(g, tc, fc, h, nil)
-	acts = append(acts, h)
-	for _, l := range m.GCN {
-		h = l.Forward(rg, h)
-		acts = append(acts, h)
-	}
-	logits = tensor.New(len(g.Vertices), 1)
-	m.Head.Forward(h, logits)
-	return logits, rg, acts, fc
-}
-
-// Scratch is the inference arena of one caller: the adjacency, the feature
-// cache, the GCN ping-pong activations, the per-relation aggregation
-// buffer, and the logits all live here and are reused across calls, so
-// steady-state prediction allocates nothing. A Scratch must not be shared
-// between concurrent goroutines; the model itself is read-only during
-// inference, so any number of workers may share one Model as long as each
-// owns its Scratch.
+// Scratch is the arena of one caller: the adjacency, the feature cache,
+// every layer's activation, the gather buffer, and the logits all live
+// here and are reused across calls, so steady-state prediction allocates
+// nothing. Training reads the adjacency, the feature cache and the
+// activations back for its backward pass. A Scratch must not be shared
+// between concurrent goroutines; inference only reads the model, so any
+// number of workers may share one Model as long as each owns its Scratch.
 type Scratch struct {
 	rg     *nn.RelGraph
 	fc     featCache
-	x, h   *tensor.Matrix
-	agg    *tensor.Matrix
+	acts   []*tensor.Matrix // the features, then each GCN layer's output
+	agg    *tensor.Matrix   // 1×Dim gather buffer of GCNLayer.Infer
 	logits *tensor.Matrix
 }
 
@@ -432,26 +410,34 @@ type Scratch struct {
 // reused across graphs.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// inferLogits runs the inference-only forward pass using s's buffers,
-// returning a logits matrix owned by s (valid until the next call). The
-// operation order matches forward exactly, so the two paths produce
-// bit-identical probabilities; a BaseContext (which may be nil) only
+// scratchPool lends arenas to the calls that bring none (PredictAllCtx,
+// PredictInto with a nil Scratch, PredictFlows), so they stop growing a
+// fresh set of Layers+1 activations on every call.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+
+// forward runs the model on g using s's buffers and returns the logits,
+// owned by s (valid until the next call). It is the one forward pass:
+// inference and training both run it, and training reads s.acts, s.rg and
+// s.fc for the backward pass. A BaseContext (which may be nil) only
 // substitutes precomputed feature rows, never changes an op.
-func (m *Model) inferLogits(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseContext) *tensor.Matrix {
+func (m *Model) forward(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseContext) *tensor.Matrix {
 	n := len(g.Vertices)
 	dim := m.Cfg.Dim
 	s.rg = relGraphInto(s.rg, g)
-	s.x = ensureMat(s.x, n, dim)
-	s.h = ensureMat(s.h, n, dim)
-	s.agg = ensureMat(s.agg, n, dim)
-	s.logits = ensureMat(s.logits, n, 1)
-	m.features(g, tc, &s.fc, s.x, bc)
-	in, out := s.x, s.h
-	for _, l := range m.GCN {
-		l.Infer(s.rg, in, out, s.agg)
-		in, out = out, in
+	if cap(s.acts) < len(m.GCN)+1 {
+		s.acts = make([]*tensor.Matrix, len(m.GCN)+1)
 	}
-	m.Head.Forward(in, s.logits)
+	s.acts = s.acts[:len(m.GCN)+1]
+	for i := range s.acts {
+		s.acts[i] = ensureMat(s.acts[i], n, dim)
+	}
+	s.agg = ensureMat(s.agg, 1, dim)
+	s.logits = ensureMat(s.logits, n, 1)
+	m.features(g, tc, &s.fc, s.acts[0], bc)
+	for i, l := range m.GCN {
+		l.Infer(s.rg, s.acts[i], s.acts[i+1], s.agg)
+	}
+	m.Head.Forward(s.acts[len(m.GCN)], s.logits)
 	return s.logits
 }
 
@@ -468,16 +454,18 @@ func (m *Model) PredictWith(g *ctgraph.Graph, tc *TokenCache, s *Scratch) []floa
 }
 
 // PredictInto is the hot-path Predict: intermediates live in s (nil
-// allocates a fresh one), dst's capacity is reused for the result, and a
-// non-nil bc supplies the CTI's precomputed schedule-independent features.
+// borrows one from a package pool), dst's capacity is reused for the
+// result, and a non-nil bc supplies the CTI's precomputed
+// schedule-independent features.
 // With a warm scratch and a capacious dst the steady state performs zero
 // allocations. The probabilities are bit-identical to Predict's for every
 // (s, dst, bc) combination.
 func (m *Model) PredictInto(dst []float64, g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseContext) []float64 {
 	if s == nil {
-		s = NewScratch()
+		s = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(s)
 	}
-	logits := m.inferLogits(g, tc, s, bc)
+	logits := m.forward(g, tc, s, bc)
 	if cap(dst) < logits.Rows {
 		dst = make([]float64, logits.Rows)
 	} else {
@@ -504,31 +492,25 @@ func (m *Model) PredictAllCtx(gs []*ctgraph.Graph, tc *TokenCache, workers int, 
 	w := parallel.Workers(workers)
 	scratches := make([]*Scratch, w)
 	for i := range scratches {
-		scratches[i] = NewScratch()
+		scratches[i] = scratchPool.Get().(*Scratch)
 	}
 	out, err := parallel.MapWorkers(w, len(gs), func(worker, i int) ([]float64, error) {
 		return m.PredictInto(nil, gs[i], tc, scratches[worker], bc), nil
 	})
+	for _, s := range scratches {
+		scratchPool.Put(s)
+	}
 	if err != nil {
 		panic(err) // only a worker panic can land here; re-raise it
 	}
 	return out
 }
 
-// PredictLabels thresholds Predict with the tuned threshold.
-func (m *Model) PredictLabels(g *ctgraph.Graph, tc *TokenCache) []bool {
-	probs := m.Predict(g, tc)
-	out := make([]bool, len(probs))
-	for i, p := range probs {
-		out[i] = p >= m.Threshold
-	}
-	return out
-}
-
 // trainStep accumulates gradients for one example and returns its mean BCE
-// loss. The caller applies the optimiser step.
-func (m *Model) trainStep(g *ctgraph.Graph, tc *TokenCache, y []bool) float64 {
-	logits, rg, acts, fc := m.forward(g, tc)
+// loss, running the forward pass in s. The caller applies the optimiser
+// step.
+func (m *Model) trainStep(g *ctgraph.Graph, tc *TokenCache, y []bool, s *Scratch) float64 {
+	logits := m.forward(g, tc, s, nil)
 	n := logits.Rows
 	if n == 0 {
 		return 0
@@ -554,13 +536,12 @@ func (m *Model) trainStep(g *ctgraph.Graph, tc *TokenCache, y []bool) float64 {
 	loss *= inv
 
 	// Backward through head and GCN stack.
-	last := acts[len(acts)-1]
 	dh := tensor.New(n, m.Cfg.Dim)
-	m.Head.Backward(last, dlogits, dh)
+	m.Head.Backward(s.acts[len(m.GCN)], dlogits, dh)
 	for l := len(m.GCN) - 1; l >= 0; l-- {
-		dh = m.GCN[l].Backward(rg, dh)
+		dh = m.GCN[l].Backward(s.rg, s.acts[l], s.acts[l+1], dh)
 	}
-	m.backwardFeatures(g, tc, fc, dh)
+	m.backwardFeatures(g, tc, &s.fc, dh)
 	return loss
 }
 

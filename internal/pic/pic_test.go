@@ -21,7 +21,7 @@ func tinyCfg(seed uint64) Config {
 
 // collectExamples builds a small labelled dataset without importing the
 // dataset package (which depends on pic).
-func collectExamples(t *testing.T, k *kernel.Kernel, seed uint64, ctis, inter int) []*Example {
+func collectExamples(t testing.TB, k *kernel.Kernel, seed uint64, ctis, inter int) []*Example {
 	t.Helper()
 	gen := syz.NewGenerator(k, seed)
 	builder := ctgraph.NewBuilder(k, cfg.Build(k))
@@ -64,6 +64,30 @@ func TestBaseVocabCoversKernel(t *testing.T) {
 				t.Fatalf("token %q not in base vocab", tok)
 			}
 		}
+	}
+}
+
+// TestCheckVocab pins the load-time vocabulary check both ways: a model
+// New builds covers small, default and mutated kernels, and a model whose
+// vocabulary lacks one register token fails with ErrVocabMismatch.
+func TestCheckVocab(t *testing.T) {
+	m := New(tinyCfg(3))
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, cfg := range []kernel.GenConfig{
+			kernel.SmallConfig(seed),
+			kernel.DefaultConfig(seed),
+			kernel.Mutate(kernel.SmallConfig(seed), "next", seed+10, 0.3, 2, 1),
+		} {
+			if err := m.CheckVocab(kernel.Generate(cfg)); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	}
+	m.Vocab.Tokens = append(m.Vocab.Tokens[:0:0], m.Vocab.Tokens...)
+	m.Vocab.Tokens[m.Vocab.ID("r3")] = "r3-renamed"
+	m.Vocab.Rebind()
+	if err := m.CheckVocab(kernel.Generate(kernel.SmallConfig(1))); !errors.Is(err, ErrVocabMismatch) {
+		t.Fatalf("CheckVocab = %v, want ErrVocabMismatch", err)
 	}
 }
 
@@ -188,13 +212,6 @@ func TestTuneSetsThreshold(t *testing.T) {
 	}
 	if th < 0 || th > 1 {
 		t.Fatalf("threshold %v out of range", th)
-	}
-	labels := m.PredictLabels(exs[0].G, tc)
-	probs := m.Predict(exs[0].G, tc)
-	for i := range labels {
-		if labels[i] != (probs[i] >= th) {
-			t.Fatal("PredictLabels inconsistent with threshold")
-		}
 	}
 }
 

@@ -63,12 +63,13 @@ func (m *Model) trainN(examples []*Example, tc *TokenCache, epochs int, lr float
 	opt := nn.NewAdam(lr)
 	params := m.Params()
 	rng := xrand.New(m.Cfg.Seed ^ 0x7c41b3) // distinct stream from init
+	s := NewScratch()
 	var stats []TrainStats
 	for ep := 0; ep < epochs; ep++ {
 		st := TrainStats{Epoch: ep}
 		for _, i := range rng.Perm(len(examples)) {
 			ex := examples[i]
-			st.Loss += m.trainStep(ex.G, tc, ex.Y)
+			st.Loss += m.trainStep(ex.G, tc, ex.Y, s)
 			st.Examples++
 			opt.Step(params)
 		}
@@ -86,8 +87,7 @@ func (m *Model) trainN(examples []*Example, tc *TokenCache, epochs int, lr float
 // TrainState carries warm-start training across retrain rounds: the Adam
 // optimiser whose step counter pins the learning-rate (bias-correction)
 // schedule. The moment estimates live on the model's parameters (Param.M/V
-// serialise with gob), so the state itself is tiny; a restarted trainer
-// rebuilds it with ResumeTrainState(steps).
+// serialise with gob), so the state itself is tiny.
 type TrainState struct {
 	opt   *nn.Adam
 	steps int
@@ -102,19 +102,6 @@ func (m *Model) NewTrainState() *TrainState {
 	return &TrainState{opt: nn.NewAdam(m.Cfg.LR)}
 }
 
-// ResumeTrainState rebuilds a warm-start state mid-schedule — the restart
-// path for a checkpointed trainer. The model's parameters must carry the
-// Adam moments of the interrupted run (they do across a gob round-trip),
-// so TrainIncremental continues bit-identically to an uninterrupted run.
-func (m *Model) ResumeTrainState(steps int) *TrainState {
-	st := m.NewTrainState()
-	st.opt.Resume(steps)
-	if steps > 0 {
-		st.steps = steps
-	}
-	return st
-}
-
 // TrainIncremental folds new examples into an already-trained model — the
 // online warm-start regime of the learning loop. Unlike Train it does not
 // shuffle or epoch: the examples arrive in the canonical stream order and
@@ -125,16 +112,18 @@ func (m *Model) ResumeTrainState(steps int) *TrainState {
 //   - zero new examples touch nothing — the model is bit-identical to its
 //     input (no optimiser step, no gradient, no RNG draw);
 //   - chunking is invisible: TrainIncremental(a) then TrainIncremental(b)
-//     equals TrainOnline(a++b) from the same starting point, because the
-//     Adam step counter and moments persist in st and the parameters.
+//     equals TrainIncremental(a++b) on a fresh state from the same
+//     starting point, because the Adam step counter and moments persist
+//     in st and the parameters.
 func (m *Model) TrainIncremental(st *TrainState, examples []*Example, tc *TokenCache) (TrainStats, error) {
 	stats := TrainStats{}
 	if len(examples) == 0 {
 		return stats, nil
 	}
 	params := m.Params()
+	s := NewScratch()
 	for _, ex := range examples {
-		stats.Loss += m.trainStep(ex.G, tc, ex.Y)
+		stats.Loss += m.trainStep(ex.G, tc, ex.Y, s)
 		stats.Examples++
 		st.opt.Step(params)
 		st.steps++
@@ -144,17 +133,6 @@ func (m *Model) TrainIncremental(st *TrainState, examples []*Example, tc *TokenC
 		return stats, fmt.Errorf("pic: incremental training diverged: %w", err)
 	}
 	return stats, nil
-}
-
-// TrainOnline is the from-scratch counterpart of TrainIncremental: one
-// pass over the examples in stream order with a fresh optimiser schedule.
-// The returned state continues the run, so TrainOnline(a) followed by
-// TrainIncremental(st, b) equals TrainOnline(a++b) — the equivalence the
-// warm-start tests pin.
-func (m *Model) TrainOnline(examples []*Example, tc *TokenCache) (TrainStats, *TrainState, error) {
-	st := m.NewTrainState()
-	stats, err := m.TrainIncremental(st, examples, tc)
-	return stats, st, err
 }
 
 // Tune selects the classification threshold maximising mean F2 over URB

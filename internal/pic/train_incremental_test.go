@@ -56,9 +56,9 @@ func TestTrainIncrementalZeroNewIsIdentity(t *testing.T) {
 }
 
 // Chunked warm-start rounds must land on exactly the weights one
-// continuous online pass over the concatenated stream produces: the Adam
-// step counter and moments persist across rounds, so chunk boundaries are
-// invisible.
+// continuous incremental pass over the concatenated stream produces: the
+// Adam step counter and moments persist across rounds, so chunk
+// boundaries are invisible.
 func TestTrainIncrementalChunkingInvisible(t *testing.T) {
 	m, tc, exs := incrementalFixture(t)
 	whole, err := m.Clone()
@@ -70,7 +70,7 @@ func TestTrainIncrementalChunkingInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := whole.TrainOnline(exs, tc); err != nil {
+	if _, err := whole.TrainIncremental(whole.NewTrainState(), exs, tc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,48 +84,6 @@ func TestTrainIncrementalChunkingInvisible(t *testing.T) {
 		t.Fatalf("steps = %d, want %d", st.Steps(), len(exs))
 	}
 	if !bytes.Equal(encodeOrFatal(t, whole), encodeOrFatal(t, chunked)) {
-		t.Fatal("chunked warm-start diverged from the continuous online pass")
-	}
-}
-
-// A gob round-trip between rounds — a trainer restart — must not perturb
-// the stream either: moments ride the serialised params and
-// ResumeTrainState restores the step counter.
-func TestTrainIncrementalSurvivesRestart(t *testing.T) {
-	m, tc, exs := incrementalFixture(t)
-	cont, err := m.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restart, err := m.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stc := cont.NewTrainState()
-	if _, err := cont.TrainIncremental(stc, exs, tc); err != nil {
-		t.Fatal(err)
-	}
-
-	str := restart.NewTrainState()
-	if _, err := restart.TrainIncremental(str, exs[:3], tc); err != nil {
-		t.Fatal(err)
-	}
-	data := encodeOrFatal(t, restart)
-	steps := str.Steps()
-
-	revived, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2 := revived.ResumeTrainState(steps)
-	if st2.Steps() != steps {
-		t.Fatalf("resumed steps = %d, want %d", st2.Steps(), steps)
-	}
-	if _, err := revived.TrainIncremental(st2, exs[3:], tc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeOrFatal(t, cont), encodeOrFatal(t, revived)) {
-		t.Fatal("restart between rounds diverged from the continuous pass")
+		t.Fatal("chunked warm-start diverged from the continuous pass")
 	}
 }

@@ -248,6 +248,9 @@ func TestKernelsPanicOnShortSlices(t *testing.T) {
 		{"b in MulAddInto", func() {
 			MulAddInto(New(2, 20), New(2, 3), &Matrix{Rows: 3, Cols: 20, Data: short(60)})
 		}},
+		{"b in MulATBAddRowInto", func() {
+			MulATBAddRowInto(New(3, 16), make([]float64, 3), short(16))
+		}},
 		{"hd last row", func() {
 			GatherScaledInto(make([]float64, 16), 1, short(32), 16, []int32{0, 1})
 		}},

@@ -257,24 +257,32 @@ func axpyRowGo(alpha float64, x, y []float64) {
 	}
 }
 
-// MulATBAddInto computes dst += aᵀ·b (a is n×r, b is n×c, dst is r×c).
-// Unrolled like MulAddInto; per dst element the accumulation stays in
-// ascending i order, so results are bit-identical to the plain loop.
+// MulATBAddInto computes dst += aᵀ·b (a is n×r, b is n×c, dst is r×c),
+// one MulATBAddRowInto per row pair in ascending i order, so per dst
+// element the accumulation is the plain loop's chain, bit for bit.
 func MulATBAddInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic("tensor: MulATBAddInto shape mismatch")
 	}
-	n, r, c := a.Rows, a.Cols, b.Cols
-	ad, bd, dd := a.Data, b.Data, dst.Data
-	for i := 0; i < n; i++ {
-		arow := ad[i*r : i*r+r]
-		brow := bd[i*c : i*c+c]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpyRow(av, brow, dd[k*c:k*c+c])
+	for i := 0; i < a.Rows; i++ {
+		MulATBAddRowInto(dst, a.Row(i), b.Row(i))
+	}
+}
+
+// MulATBAddRowInto computes dst += aᵀ·b for one row pair: a has length
+// dst.Rows, b has length dst.Cols, and row k of dst receives a[k]·b. Exact
+// zero coefficients are skipped. It is the row-granular MulATBAddInto the
+// GCN backward pass uses on gathered aggregate rows.
+func MulATBAddRowInto(dst *Matrix, a, b []float64) {
+	if len(a) != dst.Rows || len(b) != dst.Cols {
+		panic("tensor: MulATBAddRowInto shape mismatch")
+	}
+	c := len(b)
+	for k, av := range a {
+		if av == 0 {
+			continue
 		}
+		axpyRow(av, b, dst.Data[k*c:k*c+c])
 	}
 }
 
@@ -368,39 +376,12 @@ func gatherScaledGo(dst []float64, alpha float64, hd []float64, dim int, srcs []
 	}
 }
 
-// ReLUInPlace applies max(0, x) elementwise and records the active mask in
-// mask (same shape), for use by the backward pass. A nil mask skips the
-// recording — the inference-only path, which has no backward pass.
-func (m *Matrix) ReLUInPlace(mask *Matrix) {
-	if mask == nil {
-		// Branchless: max(v, 0) matches the guarded store exactly — negatives
-		// and -0 become +0, +0 and NaN pass through — without a data-dependent
-		// branch that mispredicts on ~half the activations.
-		for i, v := range m.Data {
-			m.Data[i] = max(v, 0)
-		}
-		return
-	}
-	if mask.Rows != m.Rows || mask.Cols != m.Cols {
-		panic("tensor: ReLU mask shape mismatch")
-	}
+// ReLUInPlace applies max(v, 0) elementwise. Branchless: negatives and -0
+// become +0 while +0 and NaN pass through, without a data-dependent branch
+// that mispredicts on ~half the activations.
+func (m *Matrix) ReLUInPlace() {
 	for i, v := range m.Data {
-		if v > 0 {
-			mask.Data[i] = 1
-		} else {
-			mask.Data[i] = 0
-			m.Data[i] = 0
-		}
-	}
-}
-
-// MulMaskInPlace multiplies m elementwise by mask.
-func (m *Matrix) MulMaskInPlace(mask *Matrix) {
-	if mask.Rows != m.Rows || mask.Cols != m.Cols {
-		panic("tensor: mask shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] *= mask.Data[i]
+		m.Data[i] = max(v, 0)
 	}
 }
 
