@@ -197,8 +197,9 @@ func (l *GCNLayer) Params() []*Param {
 // visited — exactly the rows whose all-zero aggregate would contribute
 // nothing under MulAddInto's zero-skip — and each visited row accumulates
 // its incoming terms in edge-insertion order (CSR grouping is stable), so
-// every element's floating-point chain is the one the edge-list scatter
-// into a materialised aggregate produced.
+// every element's floating-point chain is the one an edge-list scatter
+// into a zeroed n×In aggregate followed by MulAddInto produces (the
+// reference in gcn_ref_test.go).
 func (l *GCNLayer) Infer(g *RelGraph, h, out, agg *tensor.Matrix) {
 	if !g.finalized {
 		panic("nn: GCNLayer.Infer on a RelGraph that was not finalized")
@@ -244,12 +245,12 @@ func (l *GCNLayer) Infer(g *RelGraph, h, out, agg *tensor.Matrix) {
 // pre-activation was not positive (max(v, 0) leaves +0, or a NaN that
 // fails the test the same way), and dout is multiplied by 0 there. The
 // relation-weight gradient needs each relation's aggregate Â_r·H, which
-// no buffer keeps: Backward gathers its rows from h again, in the order
-// and with the kernel Infer uses, visiting the rows with in-edges in
-// ascending order and adding each into the gradient with
-// MulATBAddRowInto. That is the accumulation chain MulATBAddInto ran over
-// a materialised aggregate, whose all-zero rows it skipped one
-// coefficient at a time.
+// no buffer keeps: Backward gathers its rows from h again, with the
+// kernel Infer uses, visiting the rows with in-edges in ascending order
+// and adding each into the gradient with MulATBAddRowInto. That is the
+// accumulation chain of MulATBAddInto over the whole aggregate, whose
+// all-zero rows it skips one coefficient at a time, so the gradients are
+// bit-identical to the reference in gcn_ref_test.go.
 func (l *GCNLayer) Backward(g *RelGraph, h, out, dout *tensor.Matrix) *tensor.Matrix {
 	if !g.finalized {
 		panic("nn: GCNLayer.Backward on a RelGraph that was not finalized")

@@ -33,8 +33,9 @@ var ErrVocabMismatch = errors.New("pic: model vocabulary does not cover the kern
 // cannot hide an overflow, and far above any trained model's.
 const maxActivation = 1e300
 
-// Encode serialises the model (architecture, weights, vocabulary, tuned
-// threshold) with encoding/gob. Training caches are not serialised.
+// Encode serialises the model (architecture, weights with their Adam
+// moments, vocabulary, tuned threshold) with encoding/gob. The model
+// holds no other state: activations live in the caller's Scratch.
 func (m *Model) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
