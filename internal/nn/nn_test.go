@@ -436,9 +436,8 @@ func BenchmarkGCNBackward(b *testing.B) {
 
 func TestGCNInferMatchesForward(t *testing.T) {
 	// Infer must be bit-identical to the reference edge-list Forward
-	// (refGCN) — models trained and scored before the two forwards became
-	// one rely on it — including when its buffers are reused across calls
-	// with stale contents.
+	// (refGCN), including when its buffers are reused across calls with
+	// stale contents.
 	g := buildTestGraph()
 	rng := xrand.New(99)
 	l := NewGCNLayer("l", 3, 3, 2, rng)

@@ -411,7 +411,7 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // scratchPool lends arenas to the calls that bring none (PredictAllCtx,
-// PredictInto with a nil Scratch, PredictFlows), so they stop growing a
+// PredictInto with a nil Scratch, PredictFlows), so they do not grow a
 // fresh set of Layers+1 activations on every call.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
