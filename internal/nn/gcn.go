@@ -236,22 +236,22 @@ func (l *GCNLayer) Infer(g *RelGraph, h, out, agg *tensor.Matrix) {
 	out.ReLUInPlace()
 }
 
-// Backward consumes the loss gradient dout w.r.t. the layer's output and
-// returns the gradient w.r.t. its input, accumulating parameter gradients.
-// h and out are the input and output of the Infer call being
-// differentiated; dout is modified in place (masked).
+// Backward consumes the loss gradient dout w.r.t. the layer's output (h
+// and out are the input and output of the Infer call it differentiates),
+// masks dout in place, writes the input gradient into dh (NumNodes×In)
+// and accumulates parameter gradients. dagg (NumNodes×In) and wt (In·Out
+// or longer) are caller-owned scratch, so a warm call allocates nothing.
 //
-// The ReLU mask is read off out: out > 0 is false exactly where the
+// dout is multiplied by 0 wherever out > 0 is false: exactly where the
 // pre-activation was not positive (max(v, 0) leaves +0, or a NaN that
-// fails the test the same way), and dout is multiplied by 0 there. The
-// relation-weight gradient needs each relation's aggregate Â_r·H, which
-// no buffer keeps: Backward gathers its rows from h again, with the
-// kernel Infer uses, visiting the rows with in-edges in ascending order
-// and adding each into the gradient with MulATBAddRowInto. That is the
-// accumulation chain of MulATBAddInto over the whole aggregate, whose
-// all-zero rows it skips one coefficient at a time, so the gradients are
-// bit-identical to the reference in gcn_ref_test.go.
-func (l *GCNLayer) Backward(g *RelGraph, h, out, dout *tensor.Matrix) *tensor.Matrix {
+// fails the test the same way). Per relation, each row d with in-edges,
+// in ascending order, is gathered from h again into dagg's row d and
+// added into the weight gradient (MulATBAddRowInto: MulATBAddInto's chain
+// over the whole aggregate, which skips all-zero rows), then overwritten
+// with 0 + dz_d·W_rᵀ. The scatter reads only rows with in-edges, and rows
+// are independent chains, so dh and every gradient match the reference in
+// gcn_ref_test.go bit for bit.
+func (l *GCNLayer) Backward(g *RelGraph, h, out, dout, dh, dagg *tensor.Matrix, wt []float64) {
 	if !g.finalized {
 		panic("nn: GCNLayer.Backward on a RelGraph that was not finalized")
 	}
@@ -264,11 +264,9 @@ func (l *GCNLayer) Backward(g *RelGraph, h, out, dout *tensor.Matrix) *tensor.Ma
 	// Bias and self weights.
 	dz.ColSumInto(l.B.Grad)
 	tensor.MulATBAddInto(l.WSelf.GradMatrix(), h, dz)
-	dh := tensor.New(h.Rows, l.In)
-	tensor.MulABTAddInto(dh, dz, l.WSelf.Matrix())
+	dh.Zero()
+	tensor.MulABTAddInto(dh, dz, l.WSelf.Matrix(), wt)
 	// Relation weights and scatter-backward through the aggregation.
-	dagg := tensor.New(h.Rows, l.In)
-	buf := make([]float64, l.In)
 	for r := range l.WRel {
 		if r >= g.NumRel() {
 			continue
@@ -279,19 +277,20 @@ func (l *GCNLayer) Backward(g *RelGraph, h, out, dout *tensor.Matrix) *tensor.Ma
 		}
 		norm := g.Norm[r]
 		gw := l.WRel[r].GradMatrix()
+		wrt := tensor.TransposeInto(wt, l.WRel[r].Matrix())
 		for d := 0; d < g.NumNodes; d++ {
 			lo, hi := off[d], off[d+1]
 			if lo == hi {
 				continue
 			}
-			tensor.GatherScaledInto(buf, norm[d], h.Data, l.In, src[lo:hi])
-			tensor.MulATBAddRowInto(gw, buf, dz.Row(d))
+			row, dzd := dagg.Row(d), dz.Row(d)
+			tensor.GatherScaledInto(row, norm[d], h.Data, l.In, src[lo:hi])
+			tensor.MulATBAddRowInto(gw, row, dzd)
+			clear(row)
+			tensor.MulABTAddRowInto(row, dzd, wrt)
 		}
-		dagg.Zero()
-		tensor.MulABTAddInto(dagg, dz, l.WRel[r].Matrix())
 		for _, e := range g.Rel[r] {
 			tensor.AXPY(norm[e.Dst], dagg.Row(int(e.Dst)), dh.Row(int(e.Src)))
 		}
 	}
-	return dh
 }

@@ -11,10 +11,11 @@ import (
 
 // refGCN is GCNLayer's edge-list Forward and Backward as they stood
 // before training moved onto Infer, copied verbatim. Only the home of the
-// forward caches moved: they lived on GCNLayer and live here now, and the
+// forward caches moved: they lived on GCNLayer and live here now, the
 // two tensor helpers the pair used — ReLUInPlace's mask recording and
-// MulMaskInPlace — are inlined as refReLU and refMulMask. The tests below
-// pin Infer and Backward to this copy bit for bit.
+// MulMaskInPlace — are inlined as refReLU and refMulMask, and
+// MulABTAddInto takes a transpose buffer (bt). The tests below pin Infer
+// and Backward to this copy bit for bit.
 type refGCN struct {
 	*GCNLayer
 
@@ -90,7 +91,8 @@ func (l *refGCN) Backward(g *RelGraph, dout *tensor.Matrix) *tensor.Matrix {
 	dz.ColSumInto(l.B.Grad)
 	tensor.MulATBAddInto(l.WSelf.GradMatrix(), l.h, dz)
 	dh := tensor.New(l.h.Rows, l.In)
-	tensor.MulABTAddInto(dh, dz, l.WSelf.Matrix())
+	bt := make([]float64, l.In*l.Out)
+	tensor.MulABTAddInto(dh, dz, l.WSelf.Matrix(), bt)
 	// Relation weights and scatter-backward through the aggregation.
 	dagg := tensor.New(l.h.Rows, l.In)
 	for r := range l.WRel {
@@ -99,7 +101,7 @@ func (l *refGCN) Backward(g *RelGraph, dout *tensor.Matrix) *tensor.Matrix {
 		}
 		tensor.MulATBAddInto(l.WRel[r].GradMatrix(), l.agg[r], dz)
 		dagg.Zero()
-		tensor.MulABTAddInto(dagg, dz, l.WRel[r].Matrix())
+		tensor.MulABTAddInto(dagg, dz, l.WRel[r].Matrix(), bt)
 		for _, e := range g.Rel[r] {
 			tensor.AXPY(g.Norm[r][e.Dst], dagg.Row(int(e.Dst)), dh.Row(int(e.Src)))
 		}
@@ -210,7 +212,11 @@ func TestGCNBackwardMatchesReference(t *testing.T) {
 		}
 		dGot := dWant.Clone()
 		dhWant := ref.Backward(g, dWant)
-		dhGot := l.Backward(g, h, got, dGot)
+		dhGot := tensor.New(numNodes, in) // dirty buffers, as for Infer
+		dhGot.Randomize(rng)
+		wt := tensor.New(1, in*out+rng.Intn(4))
+		wt.Randomize(rng)
+		l.Backward(g, h, got, dGot, dhGot, agg, wt.Data)
 		check("masked dout", dGot.Data, dWant.Data)
 		check("dh", dhGot.Data, dhWant.Data)
 		gotPs, wantPs := l.Params(), ref.Params()

@@ -26,12 +26,12 @@ func (d *Dense) Forward(x, out *tensor.Matrix) {
 }
 
 // Backward accumulates dW += xᵀ·dout and db += colsum(dout), and, when dx
-// is non-nil, computes dx += dout·Wᵀ.
-func (d *Dense) Backward(x, dout, dx *tensor.Matrix) {
+// is non-nil, computes dx += dout·Wᵀ with wt (In·Out or longer) for Wᵀ.
+func (d *Dense) Backward(x, dout, dx *tensor.Matrix, wt []float64) {
 	tensor.MulATBAddInto(d.W.GradMatrix(), x, dout)
 	dout.ColSumInto(d.B.Grad)
 	if dx != nil {
-		tensor.MulABTAddInto(dx, dout, d.W.Matrix())
+		tensor.MulABTAddInto(dx, dout, d.W.Matrix(), wt)
 	}
 }
 

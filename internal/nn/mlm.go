@@ -68,6 +68,7 @@ func (e *AsmEncoder) Pretrain(blocks [][]int, epochs int, lr float64, seed uint6
 	dlogits := tensor.New(1, e.Vocab.Size())
 	ctxMat := tensor.FromData(1, dim, ctx)
 	dctxMat := tensor.FromData(1, dim, dctx)
+	wt := make([]float64, dim*e.Vocab.Size()) // e.Out's Wᵀ scratch
 	masked := make([]int, 0, 64)
 
 	for ep := 0; ep < epochs; ep++ {
@@ -122,7 +123,7 @@ func (e *AsmEncoder) Pretrain(blocks [][]int, epochs int, lr float64, seed uint6
 			for i := range dctx {
 				dctx[i] = 0
 			}
-			e.Out.Backward(ctxMat, dlogits, dctxMat)
+			e.Out.Backward(ctxMat, dlogits, dctxMat, wt)
 			e.Emb.AccumulateMeanGrad(masked, dctx)
 			opt.Step(params)
 		}

@@ -132,7 +132,7 @@ func TestDenseGradCheck(t *testing.T) {
 		dout.Data[i] = out.Data[i] - target.Data[i]
 	}
 	dx := tensor.New(2, 3)
-	d.Backward(x, dout, dx)
+	d.Backward(x, dout, dx, make([]float64, 6))
 
 	for i := range d.W.Val {
 		want := numGrad(loss, d.W.Val, i)
@@ -238,6 +238,13 @@ func infer(l *GCNLayer, g *RelGraph, h *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
+// backward runs l.Backward with fresh buffers and returns dh.
+func backward(l *GCNLayer, g *RelGraph, h, out, dout *tensor.Matrix) *tensor.Matrix {
+	dh := tensor.New(g.NumNodes, l.In)
+	l.Backward(g, h, out, dout, dh, tensor.New(g.NumNodes, l.In), make([]float64, l.In*l.Out))
+	return dh
+}
+
 func TestGCNForwardAggregation(t *testing.T) {
 	g := buildTestGraph()
 	l := NewGCNLayer("l", 2, 2, 2, nil)
@@ -285,7 +292,7 @@ func TestGCNGradCheck(t *testing.T) {
 	for i := range out.Data {
 		dout.Data[i] = out.Data[i] - target.Data[i]
 	}
-	dh := l.Backward(g, h, out, dout)
+	dh := backward(l, g, h, out, dout)
 
 	check := func(name string, val, grad []float64) {
 		for i := range val {
@@ -325,7 +332,7 @@ func TestGCNStackGradCheck(t *testing.T) {
 	out := infer(l2, g, h1)
 	dout := tensor.New(4, 1)
 	copy(dout.Data, out.Data)
-	dh := l1.Backward(g, h, h1, l2.Backward(g, h1, out, dout))
+	dh := backward(l1, g, h, h1, backward(l2, g, h1, out, dout))
 
 	for i := range h.Data {
 		want := numGrad(loss, h.Data, i)
@@ -415,22 +422,60 @@ func BenchmarkGCNInfer(b *testing.B) {
 	}
 }
 
+// BenchmarkGCNBackward times one warm GCNLayer.Backward: on a random
+// 256-node graph at Dim 32, and at the PIC model's shape (Dim 16, 47
+// nodes, 7 edge types each with its reverse relation, at the mean edge
+// counts of the learn-retrain workload's training graphs: a control-flow
+// chain, two hint edges, no IRQ edges; activations half exact zeros).
 func BenchmarkGCNBackward(b *testing.B) {
-	rng := xrand.New(5)
-	g := NewRelGraph(256, 12)
-	for i := 0; i < 1024; i++ {
-		g.AddEdge(rng.Intn(12), int32(rng.Intn(256)), int32(rng.Intn(256)))
-	}
-	g.Finalize()
-	l := NewGCNLayer("b", 32, 32, 12, rng)
-	h := tensor.New(256, 32)
-	h.Randomize(rng)
+	b.Run("random", func(b *testing.B) {
+		rng := xrand.New(5)
+		g := NewRelGraph(256, 12)
+		for i := 0; i < 1024; i++ {
+			g.AddEdge(rng.Intn(12), int32(rng.Intn(256)), int32(rng.Intn(256)))
+		}
+		g.Finalize()
+		l := NewGCNLayer("b", 32, 32, 12, rng)
+		h := tensor.New(256, 32)
+		h.Randomize(rng)
+		benchBackward(b, g, l, h)
+	})
+	b.Run("model", func(b *testing.B) {
+		rng := xrand.New(7)
+		const n, types = 47, 7
+		g := NewRelGraph(n, 2*types)
+		add := func(t int, src, dst int32) {
+			g.AddEdge(t, src, dst)
+			g.AddEdge(types+t, dst, src)
+		}
+		for v := int32(0); v+1 < n; v++ {
+			add(0, v, v+1)
+		}
+		for t, count := range []int{1: 9, 2: 17, 3: 6, 4: 2, 5: 39} {
+			for ; count > 0; count-- {
+				add(t, int32(rng.Intn(n)), int32(rng.Intn(n)))
+			}
+		}
+		g.Finalize()
+		l := NewGCNLayer("b", 16, 16, 2*types, rng)
+		h := tensor.New(n, 16)
+		h.Randomize(rng)
+		h.ReLUInPlace()
+		benchBackward(b, g, l, h)
+	})
+}
+
+// benchBackward times l.Backward on g and h with every buffer allocated
+// before the timer starts.
+func benchBackward(b *testing.B, g *RelGraph, l *GCNLayer, h *tensor.Matrix) {
 	out := infer(l, g, h)
+	dout, dh, dagg := out.Clone(), tensor.New(g.NumNodes, l.In), tensor.New(g.NumNodes, l.In)
+	wt := make([]float64, l.In*l.Out)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := tensor.New(256, 32)
-		copy(d.Data, out.Data)
-		l.Backward(g, h, out, d)
+		copy(dout.Data, out.Data)
+		l.Backward(g, h, out, dout, dh, dagg, wt)
 	}
 }
 

@@ -44,7 +44,7 @@ func (m *Model) EnsureDFHead() {
 func (m *Model) flowFeatures(g *ctgraph.Graph, tc *TokenCache, s *Scratch) (*tensor.Matrix, []int) {
 	idx := g.InterDFEdges()
 	m.forward(g, tc, s, nil)
-	h := s.acts[len(m.GCN)]
+	h := s.act(len(m.GCN))
 	dim := m.Cfg.Dim
 	x := tensor.New(len(idx), 2*dim)
 	for row, ei := range idx {
@@ -114,7 +114,7 @@ func (m *Model) TrainDF(examples []*FlowExample, tc *TokenCache, epochs int, pos
 				loss += w * bce(p, t)
 				dlogits.Set(r, 0, w*(p-t)*inv)
 			}
-			m.DFHead.Backward(x, dlogits, nil)
+			m.DFHead.Backward(x, dlogits, nil, nil)
 			opt.Step(params)
 			total += loss * inv
 			n++

@@ -7,6 +7,7 @@ import (
 	"snowcat/internal/cfg"
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
+	"snowcat/internal/nn"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
 )
@@ -142,6 +143,41 @@ func TestPredictZeroAlloc(t *testing.T) {
 		if !reflect.DeepEqual([]float64(m.PredictInto(dst, g, tc, s, bc)), want[i]) {
 			t.Fatalf("graph %d: zero-alloc prediction diverged", i)
 		}
+	}
+}
+
+// TestTrainStepAllocatesNothing is the training arena's contract: once a
+// training scratch has seen the examples, a trainStep and its optimiser
+// step perform zero allocations, through the schedule-context backward
+// path too.
+func TestTrainStepAllocatesNothing(t *testing.T) {
+	k := kernel.Generate(kernel.SmallConfig(241))
+	m := New(tinyCfg(242))
+	tc := NewTokenCache(k, m.Vocab)
+	exs := collectExamples(t, k, 243, 4, 3)
+	ts := m.newTrainScratch()
+	opt := nn.NewAdam(m.Cfg.LR)
+	params := m.Params()
+	withCtx := 0
+	for _, ex := range exs { // the warm-up sizes every buffer
+		m.trainStep(ex.G, tc, ex.Y, ts)
+		opt.Step(params)
+		if ts.fc.hasCtx && len(ts.fc.hintTokens) > 0 {
+			withCtx++
+		}
+	}
+	if withCtx == 0 {
+		t.Fatal("no example carries hint tokens: the context backward path went unexercised")
+	}
+	j := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		ex := exs[j%len(exs)]
+		j++
+		m.trainStep(ex.G, tc, ex.Y, ts)
+		opt.Step(params)
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm training step allocated %v times per run, want 0", allocs)
 	}
 }
 

@@ -360,28 +360,29 @@ func (m *Model) features(g *ctgraph.Graph, tc *TokenCache, fc *featCache, x *ten
 
 // backwardFeatures propagates the input-feature gradient dh into the
 // encoder, type/role embeddings, and the schedule-context path.
-func (m *Model) backwardFeatures(g *ctgraph.Graph, tc *TokenCache, fc *featCache, dh *tensor.Matrix) {
-	dim := m.Cfg.Dim
-	dctxOut := tensor.New(1, dim)
+func (m *Model) backwardFeatures(g *ctgraph.Graph, tc *TokenCache, ts *trainScratch, dh *tensor.Matrix) {
+	fc := &ts.fc
+	dctxOut, dctx := ts.dctxOut.Row(0), ts.dctx.Row(0)
+	clear(dctxOut)
 	for i, v := range g.Vertices {
 		grad := dh.Row(i)
 		m.Enc.Emb.AccumulateMeanGrad(tc.IDs[v.Block], grad)
 		m.VType.AccumulateRowGrad(int(v.Type), grad)
 		m.HintRole.AccumulateRowGrad(fc.roles[i], grad)
-		tensor.AXPY(1, grad, dctxOut.Row(0))
+		tensor.AXPY(1, grad, dctxOut)
 	}
 	if !fc.hasCtx {
 		return
 	}
-	dctx := tensor.New(1, dim)
-	m.HintCtx.Backward(fc.ctx, dctxOut, dctx)
+	clear(dctx)
+	m.HintCtx.Backward(fc.ctx, ts.dctxOut, ts.dctx, ts.wt)
 	for _, row := range fc.posRows {
-		m.HintPos.AccumulateRowGrad(row, dctx.Row(0))
+		m.HintPos.AccumulateRowGrad(row, dctx)
 	}
 	if len(fc.hintTokens) > 0 {
 		inv := 1 / float64(len(fc.hintTokens))
-		scaled := make([]float64, dim)
-		copy(scaled, dctx.Row(0))
+		scaled := ts.scaled
+		copy(scaled, dctx)
 		for i := range scaled {
 			scaled[i] *= inv
 		}
@@ -392,16 +393,17 @@ func (m *Model) backwardFeatures(g *ctgraph.Graph, tc *TokenCache, fc *featCache
 }
 
 // Scratch is the arena of one caller: the adjacency, the feature cache,
-// every layer's activation, the gather buffer, and the logits all live
-// here and are reused across calls, so steady-state prediction allocates
-// nothing. Training reads the adjacency, the feature cache and the
-// activations back for its backward pass. A Scratch must not be shared
-// between concurrent goroutines; inference only reads the model, so any
-// number of workers may share one Model as long as each owns its Scratch.
+// the activations, the gather buffer, and the logits all live here and are
+// reused across calls, so steady-state prediction allocates nothing. An
+// inference arena holds two activations, which the GCN layers ping-pong
+// between; a training arena (trainScratch) holds every layer's. A Scratch
+// must not be shared between concurrent goroutines; inference only reads
+// the model, so any number of workers may share one Model as long as each
+// owns its Scratch.
 type Scratch struct {
 	rg     *nn.RelGraph
 	fc     featCache
-	acts   []*tensor.Matrix // the features, then each GCN layer's output
+	acts   []*tensor.Matrix // layer i reads acts[i%len] and writes acts[(i+1)%len]
 	agg    *tensor.Matrix   // 1×Dim gather buffer of GCNLayer.Infer
 	logits *tensor.Matrix
 }
@@ -411,23 +413,24 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // scratchPool lends arenas to the calls that bring none (PredictAllCtx,
-// PredictInto with a nil Scratch, PredictFlows), so they do not grow a
-// fresh set of Layers+1 activations on every call.
+// PredictInto with a nil Scratch, PredictFlows), so they do not grow
+// fresh buffers on every call.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // forward runs the model on g using s's buffers and returns the logits,
 // owned by s (valid until the next call). It is the one forward pass:
-// inference and training both run it, and training reads s.acts, s.rg and
-// s.fc for the backward pass. A BaseContext (which may be nil) only
+// inference and training both run it. Layer i reads acts[i%len(acts)] and
+// writes acts[(i+1)%len(acts)], so with Layers+1 activations every layer's
+// input survives for the backward pass, and the head reads
+// acts[Layers%len(acts)]. A BaseContext (which may be nil) only
 // substitutes precomputed feature rows, never changes an op.
 func (m *Model) forward(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseContext) *tensor.Matrix {
 	n := len(g.Vertices)
 	dim := m.Cfg.Dim
 	s.rg = relGraphInto(s.rg, g)
-	if cap(s.acts) < len(m.GCN)+1 {
-		s.acts = make([]*tensor.Matrix, len(m.GCN)+1)
+	if len(s.acts) == 0 {
+		s.acts = make([]*tensor.Matrix, 2) // an inference arena
 	}
-	s.acts = s.acts[:len(m.GCN)+1]
 	for i := range s.acts {
 		s.acts[i] = ensureMat(s.acts[i], n, dim)
 	}
@@ -435,10 +438,41 @@ func (m *Model) forward(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseCo
 	s.logits = ensureMat(s.logits, n, 1)
 	m.features(g, tc, &s.fc, s.acts[0], bc)
 	for i, l := range m.GCN {
-		l.Infer(s.rg, s.acts[i], s.acts[i+1], s.agg)
+		l.Infer(s.rg, s.act(i), s.act(i+1), s.agg)
 	}
-	m.Head.Forward(s.acts[len(m.GCN)], s.logits)
+	m.Head.Forward(s.act(len(m.GCN)), s.logits)
 	return s.logits
+}
+
+// act returns the activation buffer of layer boundary i: the features at
+// 0, layer i-1's output after it.
+func (s *Scratch) act(i int) *tensor.Matrix { return s.acts[i%len(s.acts)] }
+
+// trainScratch is the arena of one training call: a Scratch that keeps
+// every layer's activation (Layers+1), which the backward pass reads back,
+// plus every buffer of the backward pass, so a warm trainStep allocates
+// nothing.
+type trainScratch struct {
+	Scratch
+	dlogits *tensor.Matrix    // n×1 loss gradient of the logits
+	dh      [2]*tensor.Matrix // n×Dim input gradients, ping-ponged down the stack
+	dagg    *tensor.Matrix    // n×Dim aggregate-gradient rows of GCNLayer.Backward
+	wt      []float64         // Dim·Dim transposed weights
+	dctxOut *tensor.Matrix    // 1×Dim gradient of the broadcast context
+	dctx    *tensor.Matrix    // 1×Dim gradient of the context input
+	scaled  []float64         // Dim: dctx over the hint-token count
+}
+
+// newTrainScratch returns an empty training scratch for m's depth.
+func (m *Model) newTrainScratch() *trainScratch {
+	dim := m.Cfg.Dim
+	return &trainScratch{
+		Scratch: Scratch{acts: make([]*tensor.Matrix, len(m.GCN)+1)},
+		wt:      make([]float64, dim*dim),
+		dctxOut: tensor.New(1, dim),
+		dctx:    tensor.New(1, dim),
+		scaled:  make([]float64, dim),
+	}
 }
 
 // Predict returns the per-vertex covered probabilities for a CT graph.
@@ -507,10 +541,10 @@ func (m *Model) PredictAllCtx(gs []*ctgraph.Graph, tc *TokenCache, workers int, 
 }
 
 // trainStep accumulates gradients for one example and returns its mean BCE
-// loss, running the forward pass in s. The caller applies the optimiser
-// step.
-func (m *Model) trainStep(g *ctgraph.Graph, tc *TokenCache, y []bool, s *Scratch) float64 {
-	logits := m.forward(g, tc, s, nil)
+// loss, running the forward and backward passes in ts. The caller applies
+// the optimiser step.
+func (m *Model) trainStep(g *ctgraph.Graph, tc *TokenCache, y []bool, ts *trainScratch) float64 {
+	logits := m.forward(g, tc, &ts.Scratch, nil)
 	n := logits.Rows
 	if n == 0 {
 		return 0
@@ -521,7 +555,8 @@ func (m *Model) trainStep(g *ctgraph.Graph, tc *TokenCache, y []bool, s *Scratch
 		posW = 1
 	}
 	loss := 0.0
-	dlogits := tensor.New(n, 1)
+	ts.dlogits = ensureMat(ts.dlogits, n, 1)
+	dlogits := ts.dlogits
 	inv := 1 / float64(n)
 	for i := 0; i < n; i++ {
 		z := logits.At(i, 0)
@@ -536,12 +571,19 @@ func (m *Model) trainStep(g *ctgraph.Graph, tc *TokenCache, y []bool, s *Scratch
 	loss *= inv
 
 	// Backward through head and GCN stack.
-	dh := tensor.New(n, m.Cfg.Dim)
-	m.Head.Backward(s.acts[len(m.GCN)], dlogits, dh)
-	for l := len(m.GCN) - 1; l >= 0; l-- {
-		dh = m.GCN[l].Backward(s.rg, s.acts[l], s.acts[l+1], dh)
+	dim := m.Cfg.Dim
+	for i := range ts.dh {
+		ts.dh[i] = ensureMat(ts.dh[i], n, dim)
 	}
-	m.backwardFeatures(g, tc, &s.fc, dh)
+	ts.dagg = ensureMat(ts.dagg, n, dim)
+	dh, next := ts.dh[0], ts.dh[1]
+	dh.Zero()
+	m.Head.Backward(ts.acts[len(m.GCN)], dlogits, dh, ts.wt)
+	for l := len(m.GCN) - 1; l >= 0; l-- {
+		m.GCN[l].Backward(ts.rg, ts.acts[l], ts.acts[l+1], dh, next, ts.dagg, ts.wt)
+		dh, next = next, dh
+	}
+	m.backwardFeatures(g, tc, ts, dh)
 	return loss
 }
 

@@ -63,13 +63,13 @@ func (m *Model) trainN(examples []*Example, tc *TokenCache, epochs int, lr float
 	opt := nn.NewAdam(lr)
 	params := m.Params()
 	rng := xrand.New(m.Cfg.Seed ^ 0x7c41b3) // distinct stream from init
-	s := NewScratch()
+	ts := m.newTrainScratch()
 	var stats []TrainStats
 	for ep := 0; ep < epochs; ep++ {
 		st := TrainStats{Epoch: ep}
 		for _, i := range rng.Perm(len(examples)) {
 			ex := examples[i]
-			st.Loss += m.trainStep(ex.G, tc, ex.Y, s)
+			st.Loss += m.trainStep(ex.G, tc, ex.Y, ts)
 			st.Examples++
 			opt.Step(params)
 		}
@@ -121,9 +121,9 @@ func (m *Model) TrainIncremental(st *TrainState, examples []*Example, tc *TokenC
 		return stats, nil
 	}
 	params := m.Params()
-	s := NewScratch()
+	ts := m.newTrainScratch()
 	for _, ex := range examples {
-		stats.Loss += m.trainStep(ex.G, tc, ex.Y, s)
+		stats.Loss += m.trainStep(ex.G, tc, ex.Y, ts)
 		stats.Examples++
 		st.opt.Step(params)
 		st.steps++

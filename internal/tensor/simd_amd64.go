@@ -38,3 +38,9 @@ func gatherScaledAVX2(dst []float64, alpha float64, hd []float64, dim int, srcs 
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y []float64)
+
+//go:noescape
+func mulATBRowAVX2(dst, a, b []float64, c int)
+
+//go:noescape
+func mulABTRowAVX2(drow, arow, bt []float64, p int)

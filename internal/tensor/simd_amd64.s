@@ -320,3 +320,245 @@ a4:
 adone:
 	VZEROUPPER
 	RET
+
+// func mulATBRowAVX2(dst, a, b []float64, c int)
+//
+// The rank-1 update dst += aᵀ·b over the first len(b) columns (a multiple
+// of 4) of the rows of dst, where row k starts at dst[k*c]. It builds the
+// kept-coefficient mask of mulAddRowAVX2 over chunks of up to 64
+// coefficients (±0 dropped, NaN kept, as the scalar av == 0 skip does),
+// keeps each 16-, 8- or 4-column block of b in registers, and applies to
+// row k of every kept coefficient the accumulate axpyAVX2 applies:
+// a[k]·b, then plus the destination.
+TEXT ·mulATBRowAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	MOVQ c+72(FP), R8
+	SHLQ $3, R8 // row stride of dst in bytes
+	VXORPD Y15, Y15, Y15
+
+rchunk:
+	TESTQ CX, CX
+	JZ    rdone
+	MOVQ  $64, R11
+	CMPQ  CX, R11
+	CMOVQLT CX, R11
+	SUBQ  R11, CX
+	XORQ  R12, R12
+	MOVQ  R11, R13
+
+rmask1:
+	TESTQ $3, R13
+	JZ    rmask4
+	DECQ  R13
+	VMOVSD    (SI)(R13*8), X4
+	VCMPSD    $4, X15, X4, X5
+	VMOVMSKPD X5, AX
+	ANDQ  $1, AX
+	SHLQ  $1, R12
+	ORQ   AX, R12
+	JMP   rmask1
+
+rmask4:
+	TESTQ R13, R13
+	JZ    rcolumns
+	SUBQ  $4, R13
+	VCMPPD    $4, (SI)(R13*8), Y15, Y5
+	VMOVMSKPD Y5, AX
+	SHLQ  $4, R12
+	ORQ   AX, R12
+	JMP   rmask4
+
+rcolumns:
+	TESTQ R12, R12
+	JZ    rnextchunk
+	MOVQ b_base+48(FP), DI
+	MOVQ b_len+56(FP), BX
+	MOVQ DX, R10
+
+rcols16:
+	CMPQ BX, $16
+	JL   rcols8
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ R12, AX
+
+r16:
+	NEXTK
+	VMULPD Y0, Y4, Y6
+	VMULPD Y1, Y4, Y7
+	VMULPD Y2, Y4, Y8
+	VMULPD Y3, Y4, Y9
+	VADDPD 0(R10)(R13*1), Y6, Y6
+	VADDPD 32(R10)(R13*1), Y7, Y7
+	VADDPD 64(R10)(R13*1), Y8, Y8
+	VADDPD 96(R10)(R13*1), Y9, Y9
+	VMOVUPD Y6, 0(R10)(R13*1)
+	VMOVUPD Y7, 32(R10)(R13*1)
+	VMOVUPD Y8, 64(R10)(R13*1)
+	VMOVUPD Y9, 96(R10)(R13*1)
+	DROPK
+	JNZ  r16
+	ADDQ $128, DI
+	ADDQ $128, R10
+	SUBQ $16, BX
+	JMP  rcols16
+
+rcols8:
+	CMPQ BX, $8
+	JL   rcols4
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ R12, AX
+
+r8:
+	NEXTK
+	VMULPD Y0, Y4, Y6
+	VMULPD Y1, Y4, Y7
+	VADDPD 0(R10)(R13*1), Y6, Y6
+	VADDPD 32(R10)(R13*1), Y7, Y7
+	VMOVUPD Y6, 0(R10)(R13*1)
+	VMOVUPD Y7, 32(R10)(R13*1)
+	DROPK
+	JNZ  r8
+	ADDQ $64, DI
+	ADDQ $64, R10
+	SUBQ $8, BX
+
+rcols4:
+	CMPQ BX, $4
+	JL   rnextchunk
+	VMOVUPD 0(DI), Y0
+	MOVQ R12, AX
+
+r4:
+	NEXTK
+	VMULPD Y0, Y4, Y6
+	VADDPD 0(R10)(R13*1), Y6, Y6
+	VMOVUPD Y6, 0(R10)(R13*1)
+	DROPK
+	JNZ  r4
+
+rnextchunk:
+	ADDQ $512, SI // 64 coefficients
+	MOVQ R8, AX
+	SHLQ $6, AX
+	ADDQ AX, DX   // 64 rows of dst
+	JMP  rchunk
+
+rdone:
+	VZEROUPPER
+	RET
+
+// TDOT accumulates one coefficient into the column block at byte offset
+// boff: acc = acc + a·bᵀ, where a is broadcast in Y4 and R10 points at
+// the coefficient's row of bᵀ.
+#define TDOT(boff, acc, tmp) \
+	VMULPD boff(R10), Y4, tmp; \
+	VADDPD tmp, acc, acc
+
+// TSTORE finishes one column block: dst = dst + acc.
+#define TSTORE(doff, acc) \
+	VMOVUPD doff(DI), Y5;   \
+	VADDPD  acc, Y5, Y5;    \
+	VMOVUPD Y5, doff(DI)
+
+// func mulABTRowAVX2(drow, arow, bt []float64, p int)
+//
+// drow[j] += (0 + arow[0]·bt[j]) + arow[1]·bt[p+j] + … over len(drow)
+// columns (a multiple of 4), where row k of bᵀ starts at bt[k*p]. Each
+// lane is one output column's dot-product chain: it starts at +0, takes
+// every coefficient in ascending k (none is skipped, as the scalar loop
+// skips none) and is added to the destination last, as the scalar loop's
+// drow[j] += s does.
+TEXT ·mulABTRowAVX2(SB), NOSPLIT, $0-80
+	MOVQ drow_base+0(FP), DI
+	MOVQ drow_len+8(FP), BX
+	MOVQ arow_base+24(FP), SI
+	MOVQ arow_len+32(FP), CX
+	MOVQ bt_base+48(FP), DX
+	MOVQ p+72(FP), R8
+	SHLQ $3, R8 // row stride of bᵀ in bytes
+
+tcols16:
+	CMPQ BX, $16
+	JL   tcols8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ DX, R10
+	XORQ R11, R11
+
+t16:
+	CMPQ R11, CX
+	JGE  t16store
+	VBROADCASTSD (SI)(R11*8), Y4
+	TDOT(0, Y0, Y6)
+	TDOT(32, Y1, Y7)
+	TDOT(64, Y2, Y8)
+	TDOT(96, Y3, Y9)
+	ADDQ R8, R10
+	INCQ R11
+	JMP  t16
+
+t16store:
+	TSTORE(0, Y0)
+	TSTORE(32, Y1)
+	TSTORE(64, Y2)
+	TSTORE(96, Y3)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, BX
+	JMP  tcols16
+
+tcols8:
+	CMPQ BX, $8
+	JL   tcols4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ DX, R10
+	XORQ R11, R11
+
+t8:
+	CMPQ R11, CX
+	JGE  t8store
+	VBROADCASTSD (SI)(R11*8), Y4
+	TDOT(0, Y0, Y6)
+	TDOT(32, Y1, Y7)
+	ADDQ R8, R10
+	INCQ R11
+	JMP  t8
+
+t8store:
+	TSTORE(0, Y0)
+	TSTORE(32, Y1)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, BX
+
+tcols4:
+	CMPQ BX, $4
+	JL   tdone
+	VXORPD Y0, Y0, Y0
+	MOVQ DX, R10
+	XORQ R11, R11
+
+t4:
+	CMPQ R11, CX
+	JGE  t4store
+	VBROADCASTSD (SI)(R11*8), Y4
+	TDOT(0, Y0, Y6)
+	ADDQ R8, R10
+	INCQ R11
+	JMP  t4
+
+t4store:
+	TSTORE(0, Y0)
+
+tdone:
+	VZEROUPPER
+	RET

@@ -14,3 +14,7 @@ func gatherScaledAVX2(dst []float64, alpha float64, hd []float64, dim int, srcs 
 }
 
 func axpyAVX2(alpha float64, x, y []float64) { panic("tensor: no AVX2 kernels in this build") }
+
+func mulATBRowAVX2(dst, a, b []float64, c int) { panic("tensor: no AVX2 kernels in this build") }
+
+func mulABTRowAVX2(drow, arow, bt []float64, p int) { panic("tensor: no AVX2 kernels in this build") }

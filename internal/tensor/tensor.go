@@ -272,41 +272,93 @@ func MulATBAddInto(dst, a, b *Matrix) {
 // MulATBAddRowInto computes dst += aᵀ·b for one row pair: a has length
 // dst.Rows, b has length dst.Cols, and row k of dst receives a[k]·b. Exact
 // zero coefficients are skipped. It is the row-granular MulATBAddInto the
-// GCN backward pass uses on gathered aggregate rows.
+// GCN backward pass uses on gathered aggregate rows. Each element of dst
+// receives at most one accumulate, the one axpyRow applies, so the AVX2
+// kernel (every full 4-column block of all rows in one call) and the
+// scalar tail give the bits of one axpyRow per kept coefficient.
 func MulATBAddRowInto(dst *Matrix, a, b []float64) {
-	if len(a) != dst.Rows || len(b) != dst.Cols {
+	if len(a) != dst.Rows || len(b) != dst.Cols || len(dst.Data) != dst.Rows*dst.Cols {
 		panic("tensor: MulATBAddRowInto shape mismatch")
 	}
-	c := len(b)
+	c, n := len(b), 0
+	if useAVX2 && c >= 4 {
+		n = c &^ 3
+		mulATBRowAVX2(dst.Data, a, b[:n], c)
+	}
+	if n == c {
+		return
+	}
 	for k, av := range a {
 		if av == 0 {
 			continue
 		}
-		axpyRow(av, b, dst.Data[k*c:k*c+c])
+		axpyRowGo(av, b[n:], dst.Data[k*c+n:k*c+c])
 	}
 }
 
-// MulABTAddInto computes dst += a·bᵀ (a is n×c, b is m×c, dst is n×m).
-// The dot-product accumulator runs in ascending k order (a single serial
-// chain), so the sum is bit-identical to the plain loop.
-func MulABTAddInto(dst, a, b *Matrix) {
+// TransposeInto writes bᵀ (b.Cols rows of b.Rows) into the first
+// len(b.Data) elements of dst and returns them: the layout
+// MulABTAddRowInto reads.
+func TransposeInto(dst []float64, b *Matrix) []float64 {
+	m, c := b.Rows, b.Cols
+	if len(dst) < m*c {
+		panic("tensor: TransposeInto destination too short")
+	}
+	dst = dst[:m*c]
+	for i := 0; i < m; i++ {
+		for k, v := range b.Data[i*c : i*c+c] {
+			dst[k*m+i] = v
+		}
+	}
+	return dst
+}
+
+// MulABTAddInto computes dst += a·bᵀ (a is n×c, b is m×c, dst is n×m):
+// it transposes b into bt, caller-owned scratch of at least m·c elements,
+// then runs MulABTAddRowInto on every row.
+func MulABTAddInto(dst, a, b *Matrix, bt []float64) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: MulABTAddInto shape mismatch")
 	}
-	n, c, m := a.Rows, a.Cols, b.Rows
-	ad, bd, dd := a.Data, b.Data, dst.Data
-	for i := 0; i < n; i++ {
-		arow := ad[i*c : i*c+c]
-		drow := dd[i*m : i*m+m]
-		for j := 0; j < m; j++ {
-			brow := bd[j*c : j*c+c]
-			arow := arow[:len(brow)]
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] += s
+	bt = TransposeInto(bt, b)
+	for i := 0; i < a.Rows; i++ {
+		MulABTAddRowInto(dst.Row(i), a.Row(i), bt)
+	}
+}
+
+// MulABTAddRowInto computes drow += arow·bᵀ for one row, where bt holds bᵀ
+// as TransposeInto lays it out: len(arow) rows of len(drow). Every element
+// is one dot-product chain, s := 0; s += arow[k]·bᵀ[k][j] over ascending
+// k with no coefficient skipped, then drow[j] += s. The AVX2 kernel runs
+// one chain per lane over every full 4-column block and mulABTRowGo the
+// 1-3 column tail, or mulABTRowGo alone when the assembly is not
+// selected; the bits are the same.
+func MulABTAddRowInto(drow, arow, bt []float64) {
+	m := len(drow)
+	if len(bt) != len(arow)*m {
+		panic("tensor: MulABTAddRowInto shape mismatch")
+	}
+	if useAVX2 && m >= 4 {
+		n := m &^ 3
+		mulABTRowAVX2(drow[:n], arow, bt, m)
+		if n == m {
+			return
 		}
+		drow, bt = drow[n:], bt[n:]
+	}
+	mulABTRowGo(drow, arow, bt, m)
+}
+
+// mulABTRowGo is the scalar kernel behind MulABTAddRowInto and the
+// reference its assembly matches: the plain dot-product loop over
+// len(drow) columns, where row k of bᵀ starts at bt[k*p].
+func mulABTRowGo(drow, arow, bt []float64, p int) {
+	for j := range drow {
+		s := 0.0
+		for k, av := range arow {
+			s += av * bt[k*p+j]
+		}
+		drow[j] += s
 	}
 }
 

@@ -89,7 +89,7 @@ func TestMulABTAddInto(t *testing.T) {
 	a := FromData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromData(2, 3, []float64{1, 1, 1, 2, 0, 1})
 	dst := New(2, 2)
-	MulABTAddInto(dst, a, b)
+	MulABTAddInto(dst, a, b, make([]float64, 6))
 	want := []float64{6, 5, 15, 14}
 	for i, w := range want {
 		if !almostEq(dst.Data[i], w) {
@@ -126,7 +126,7 @@ func TestShapePanics(t *testing.T) {
 	cases := []func(){
 		func() { MulInto(New(2, 2), New(2, 3), New(2, 2)) },
 		func() { MulATBAddInto(New(2, 2), New(3, 2), New(4, 2)) },
-		func() { MulABTAddInto(New(2, 2), New(2, 3), New(2, 4)) },
+		func() { MulABTAddInto(New(2, 2), New(2, 3), New(2, 4), make([]float64, 8)) },
 		func() { New(2, 2).AddRowVec([]float64{1}) },
 		func() { AXPY(1, []float64{1}, []float64{1, 2}) },
 	}
