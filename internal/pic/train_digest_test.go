@@ -28,11 +28,18 @@ var updateTrainDigest = flag.Bool("update", false, "rewrite testdata/train_diges
 // the run that moved; -update rewrites the golden only for a change meant
 // to alter training.
 
-// digestCfg sits off DefaultConfig on every axis the model shape or the
-// loss reads: a width that is not a multiple of the 4- and 8-column kernel
-// blocks, three layers and a different positive weight.
-func digestCfg() Config {
-	return Config{Dim: 10, Layers: 3, LR: 4e-3, Epochs: 2, Seed: 31, PosWeight: 5}
+// digestCfgs are the configurations the digest trains, each with the
+// prefix of its lines. The first sits off DefaultConfig on every axis the
+// model shape or the loss reads: a width that is not a multiple of the 4-
+// and 8-column kernel blocks, three layers and a different positive
+// weight. The second is the width of the CLI's default model and of every
+// perfbench model, Dim 16: one whole 16-column block per row.
+var digestCfgs = []struct {
+	prefix string
+	cfg    Config
+}{
+	{"", Config{Dim: 10, Layers: 3, LR: 4e-3, Epochs: 2, Seed: 31, PosWeight: 5}},
+	{"dim16/", Config{Dim: 16, Layers: 3, LR: 4e-3, Epochs: 2, Seed: 31, PosWeight: 5}},
 }
 
 // digestExamples collects coverage- and flow-labelled examples on a kernel
@@ -86,6 +93,58 @@ func modelDigest(t *testing.T, name string, loss float64, m *Model) string {
 	return fmt.Sprintf("%s loss=%x sha256=%x", name, loss, sha256.Sum256(data))
 }
 
+// digestRuns trains a model of cfg on exs and renders the five runs of
+// the digest, each line's name led by prefix.
+func digestRuns(t *testing.T, prefix string, cfg Config, k *kernel.Kernel, exs []*Example) []string {
+	t.Helper()
+	var lines []string
+	m := New(cfg)
+	tc := NewTokenCache(k, m.Vocab)
+	stats, err := m.Train(exs[:12], tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, modelDigest(t, prefix+"train", stats[len(stats)-1].Loss, m))
+
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err = ft.FineTune(exs[12:], tc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, modelDigest(t, prefix+"finetune-decoded", stats[len(stats)-1].Loss, ft))
+
+	inc, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := inc.NewTrainState()
+	for i, chunk := range [][]*Example{exs[12:15], exs[15:]} {
+		s, err := inc.TrainIncremental(st, chunk, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, modelDigest(t, fmt.Sprintf("%sincremental-chunk%d", prefix, i), s.Loss, inc))
+	}
+
+	df, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses, err := df.TrainDF(AsFlowExamples(exs), tc, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, modelDigest(t, prefix+"traindf", losses[len(losses)-1], df))
+	return lines
+}
+
 func TestTrainDigestGolden(t *testing.T) {
 	k, exs := digestExamples(t)
 	irqGraphs, emptyHint := 0, 0
@@ -101,51 +160,9 @@ func TestTrainDigestGolden(t *testing.T) {
 		t.Fatalf("fixture lacks IRQ vertices (%d graphs) or an empty Hint relation (%d graphs)", irqGraphs, emptyHint)
 	}
 	lines := []string{fmt.Sprintf("fixture examples=%d irq_graphs=%d empty_hint_graphs=%d", len(exs), irqGraphs, emptyHint)}
-
-	m := New(digestCfg())
-	tc := NewTokenCache(k, m.Vocab)
-	stats, err := m.Train(exs[:12], tc)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range digestCfgs {
+		lines = append(lines, digestRuns(t, c.prefix, c.cfg, k, exs)...)
 	}
-	lines = append(lines, modelDigest(t, "train", stats[len(stats)-1].Loss, m))
-
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err = ft.FineTune(exs[12:], tc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines = append(lines, modelDigest(t, "finetune-decoded", stats[len(stats)-1].Loss, ft))
-
-	inc, err := m.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := inc.NewTrainState()
-	for i, chunk := range [][]*Example{exs[12:15], exs[15:]} {
-		s, err := inc.TrainIncremental(st, chunk, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, modelDigest(t, fmt.Sprintf("incremental-chunk%d", i), s.Loss, inc))
-	}
-
-	df, err := m.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	losses, err := df.TrainDF(AsFlowExamples(exs), tc, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines = append(lines, modelDigest(t, "traindf", losses[len(losses)-1], df))
 
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "train_digest.golden")
