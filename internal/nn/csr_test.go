@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"snowcat/internal/tensor"
@@ -42,7 +45,7 @@ func TestCSREquivalenceProperty(t *testing.T) {
 
 		want := (&refGCN{GCNLayer: l}).Forward(g, h)
 		got := tensor.New(numNodes, out)
-		agg := tensor.New(numNodes, in)
+		agg := tensor.New(numRel, in)
 		agg.Randomize(rng) // dirty scratch must not leak into the result
 		l.Infer(g, h, got, agg)
 		for i := range want.Data {
@@ -54,34 +57,55 @@ func TestCSREquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestRelGraphCSRLayout pins the CSR invariants directly: offsets are a
-// prefix sum of in-degrees and sources appear grouped by destination in
-// insertion order.
+// TestRelGraphCSRLayout pins the index directly: one offset per
+// (destination, relation) pair in destination-major order plus the total,
+// sources grouped by pair in insertion order, and the norms.
 func TestRelGraphCSRLayout(t *testing.T) {
-	g := NewRelGraph(4, 1)
-	// In-edges of node 2 added as src 3, then 1, then 3 again; node 0 gets
-	// one in-edge from 2.
+	g := NewRelGraph(4, 2)
+	// Relation 0: in-edges of node 2 added as src 3, then 1, then 3 again;
+	// node 0 gets one in-edge from 2. Relation 1: node 2 gets one from 0,
+	// node 3 one from 1.
 	g.AddEdge(0, 3, 2)
+	g.AddEdge(1, 1, 3)
 	g.AddEdge(0, 2, 0)
 	g.AddEdge(0, 1, 2)
+	g.AddEdge(1, 0, 2)
 	g.AddEdge(0, 3, 2)
 	g.Finalize()
 
-	off, src := g.csrOff[0], g.csrSrc[0]
-	wantOff := []int32{0, 1, 1, 4, 4}
-	for i, w := range wantOff {
-		if off[i] != w {
-			t.Fatalf("off[%d] = %d, want %d (off=%v)", i, off[i], w, off)
-		}
+	// Pairs (0,0) (0,1) (1,0) (1,1) (2,0) (2,1) (3,0) (3,1), then the end.
+	wantOff := []int32{0, 1, 1, 1, 1, 4, 5, 5, 6}
+	wantSrc := []int32{2, 3, 1, 3, 0, 1}
+	if !slices.Equal(g.off, wantOff) {
+		t.Fatalf("off = %v, want %v", g.off, wantOff)
 	}
-	wantSrc := []int32{2, 3, 1, 3} // node 0's in-edge, then node 2's in order
-	for i, w := range wantSrc {
-		if src[i] != w {
-			t.Fatalf("src[%d] = %d, want %d (src=%v)", i, src[i], w, src)
-		}
+	if !slices.Equal(g.src, wantSrc) {
+		t.Fatalf("src = %v, want %v", g.src, wantSrc)
 	}
-	if g.Norm[0][2] != 1.0/3 || g.Norm[0][0] != 1 || g.Norm[0][1] != 0 {
-		t.Fatalf("norm = %v", g.Norm[0])
+	if g.Norm[0][2] != 1.0/3 || g.Norm[0][0] != 1 || g.Norm[0][1] != 0 || g.Norm[1][2] != 1 || g.Norm[1][0] != 0 {
+		t.Fatalf("norm = %v", g.Norm)
+	}
+}
+
+// TestFinalizePanicsOnOutOfRangeEndpoint pins the endpoint check the
+// layer kernels rely on: a source or destination outside [0, NumNodes)
+// fails Finalize with a message naming the relation and the edge.
+func TestFinalizePanicsOnOutOfRangeEndpoint(t *testing.T) {
+	for _, e := range []EdgePair{{Src: -1, Dst: 0}, {Src: 3, Dst: 0}, {Src: 0, Dst: 3}} {
+		g := NewRelGraph(3, 2)
+		g.AddEdge(0, 0, 1)
+		g.AddEdge(1, 2, 2)
+		g.AddEdge(1, e.Src, e.Dst)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("relation 1 edge 1 (%d -> %d)", e.Src, e.Dst)
+				if !strings.Contains(msg, want) {
+					t.Errorf("edge %d -> %d: recovered %q, want a panic naming %q", e.Src, e.Dst, msg, want)
+				}
+			}()
+			g.Finalize()
+		}()
 	}
 }
 
@@ -155,10 +179,8 @@ func TestRelGraphResetReusesBuffers(t *testing.T) {
 				t.Fatalf("relation %d norm %d differs after reuse", r, i)
 			}
 		}
-		for i := range fresh.csrSrc[r] {
-			if fresh.csrSrc[r][i] != g.csrSrc[r][i] {
-				t.Fatalf("relation %d csr src %d differs after reuse", r, i)
-			}
-		}
+	}
+	if !slices.Equal(fresh.off, g.off) || !slices.Equal(fresh.src, g.src) {
+		t.Fatalf("index differs after reuse: off %v src %v, fresh off %v src %v", g.off, g.src, fresh.off, fresh.src)
 	}
 }

@@ -404,7 +404,7 @@ type Scratch struct {
 	rg     *nn.RelGraph
 	fc     featCache
 	acts   []*tensor.Matrix // layer i reads acts[i%len] and writes acts[(i+1)%len]
-	agg    *tensor.Matrix   // 1×Dim gather buffer of GCNLayer.Infer
+	agg    *tensor.Matrix   // NumRelations×Dim gathered rows of GCNLayer.Infer
 	logits *tensor.Matrix
 }
 
@@ -434,7 +434,7 @@ func (m *Model) forward(g *ctgraph.Graph, tc *TokenCache, s *Scratch, bc *BaseCo
 	for i := range s.acts {
 		s.acts[i] = ensureMat(s.acts[i], n, dim)
 	}
-	s.agg = ensureMat(s.agg, 1, dim)
+	s.agg = ensureMat(s.agg, NumRelations, dim)
 	s.logits = ensureMat(s.logits, n, 1)
 	m.features(g, tc, &s.fc, s.acts[0], bc)
 	for i, l := range m.GCN {

@@ -575,3 +575,26 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("errors = %d, want 1", s.Stats().Errors)
 	}
 }
+
+// TestSyncRequestReusesArenas pins the synchronous path's arena reuse: a
+// warm request borrows a pooled set of inference arenas instead of
+// growing fresh ones, so it allocates only its response and the fan-out's
+// bookkeeping (8 allocations for two graphs on one worker, against 117
+// with fresh arenas).
+func TestSyncRequestReusesArenas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of its items under -race")
+	}
+	f := newFixture(t, 101, 1, 2)
+	s := f.newServer(t, Config{Sync: true, Workers: 1})
+	req := &Request{Graphs: f.graphs}
+	predict := func() {
+		if _, err := s.Predict(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict()
+	if allocs := testing.AllocsPerRun(50, predict); allocs > 16 {
+		t.Fatalf("a warm synchronous request allocated %v times, want at most 16", allocs)
+	}
+}

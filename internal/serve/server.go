@@ -136,6 +136,7 @@ type Server struct {
 
 	closed    sync.Once
 	scratches []*pic.Scratch // dispatcher-owned inference arenas
+	arenas    sync.Pool      // *[]*pic.Scratch sets lent to synchronous callers
 
 	station *CTIStation // per-CTI state; nil unless configured
 
@@ -398,8 +399,8 @@ func (s *Server) runBatch(batch []*pending) {
 }
 
 // serveOne is the synchronous path: score req inline against the current
-// snapshot, on fresh scratch arenas (concurrent sync callers must not
-// share them).
+// snapshot, on a set of scratch arenas borrowed from s.arenas, so a warm
+// request grows no buffers and concurrent sync callers never share a set.
 func (s *Server) serveOne(req *Request) (*Response, error) {
 	snap := s.reg.Active()
 	if snap == nil {
@@ -416,11 +417,15 @@ func (s *Server) serveOne(req *Request) (*Response, error) {
 	}
 	s.stats.batches.Add(1)
 	s.stats.batched.Add(uint64(len(req.Graphs)))
-	scratches := make([]*pic.Scratch, parallel.Workers(s.cfg.Workers))
-	for i := range scratches {
-		scratches[i] = pic.NewScratch()
+	set, _ := s.arenas.Get().(*[]*pic.Scratch)
+	if set == nil {
+		set = new([]*pic.Scratch)
 	}
-	scores := s.score(snap, req.Graphs, scratches)
+	for len(*set) < parallel.Workers(s.cfg.Workers) {
+		*set = append(*set, pic.NewScratch())
+	}
+	scores := s.score(snap, req.Graphs, *set)
+	s.arenas.Put(set)
 	s.mu.Lock()
 	s.served[snap.Version] += uint64(len(req.Graphs))
 	s.mu.Unlock()

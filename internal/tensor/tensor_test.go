@@ -142,18 +142,6 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
-func TestReLUInPlace(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	m := FromData(1, 6, []float64{-1, 0, 2, -3, negZero, math.NaN()})
-	m.ReLUInPlace()
-	want := []float64{0, 0, 2, 0, 0, math.NaN()}
-	for i, v := range m.Data {
-		if math.Float64bits(v) != math.Float64bits(want[i]) {
-			t.Fatalf("ReLU = %v, want %v (bit-exact: -0 becomes +0, NaN passes)", m.Data, want)
-		}
-	}
-}
-
 func TestSigmoid(t *testing.T) {
 	if !almostEq(Sigmoid(0), 0.5) {
 		t.Fatal("sigmoid(0)")
