@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"snowcat/internal/campaign"
-	"snowcat/internal/ctgraph"
 	"snowcat/internal/dataset"
 	"snowcat/internal/explore"
 	"snowcat/internal/faults"
@@ -307,16 +306,12 @@ func cmdEval(args []string) error {
 	}
 	fmt.Printf("%-12s %8s %8s %8s %8s %8s %8s\n", "Predictor", "F1", "Prec", "Recall", "Acc", "BA", "AP")
 	for _, p := range preds {
-		r := pic.EvaluateScorer(asScorer{p}, exs, p.Threshold(), pic.URBOnly)
+		r := pic.EvaluateScorer(p, exs, p.Threshold(), pic.URBOnly)
 		fmt.Printf("%-12s %7.2f%% %7.2f%% %7.2f%% %7.2f%% %7.2f%% %8.3f\n",
 			p.Name(), r.F1*100, r.Precision*100, r.Recall*100, r.Accuracy*100, r.BalancedAcc*100, r.AP)
 	}
 	return nil
 }
-
-type asScorer struct{ p predictor.Predictor }
-
-func (s asScorer) Score(g *ctgraph.Graph) []float64 { return s.p.Score(g) }
 
 // campaignOptions maps a per-CTI budget to explorer options with the
 // paper's 32x inference-to-execution oversampling ratio.

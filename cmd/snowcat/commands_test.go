@@ -32,7 +32,7 @@ func TestSharedFlagSets(t *testing.T) {
 
 	parallel := []string{"-parallel", "2"}
 	chaos := []string{"-fault-rate", "0.1", "-fault-seed", "3", "-retries", "2"}
-	serving := []string{"-max-batch", "8", "-queue", "16", "-deadline-ms", "100", "-cache", "8"}
+	serving := []string{"-queue", "16", "-deadline-ms", "100", "-cache", "8"}
 	cases := []struct {
 		name   string
 		cmd    func([]string) error
@@ -73,7 +73,7 @@ func TestCmdServeLoadgen(t *testing.T) {
 	if err := cmdServe([]string{"-seed", "3", "-addr", "127.0.0.1:0", "-duration", "100ms"}); err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := newServerFromFlags(3, "small", "", func() serve.Config { return serve.Config{} })
+	s, _, err := newServerFromFlags(3, "small", "", serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCmdServeLoadgen(t *testing.T) {
 	for _, args := range [][]string{
 		{"-clients", "0"},
 		{"-rate", "-1"},
-		{"-addr", ts.URL, "-max-batch", "1"},
+		{"-addr", ts.URL, "-cache", "1"},
 		{"-addr", ts.URL, "-model", "x"},
 	} {
 		err := cmdLoadgen(args)
@@ -100,6 +100,36 @@ func TestCmdServeLoadgen(t *testing.T) {
 		}
 		if args[0] == "-addr" && !strings.Contains(err.Error(), args[2]) {
 			t.Fatalf("loadgen %v: error %q does not name %s", args, err, args[2])
+		}
+	}
+}
+
+// TestServingFlagDomains pins that serve and loadgen reject a serving
+// flag outside its domain with an error naming the flag, instead of
+// running with a silent default. The arguments after the bad flag keep a
+// run that wrongly accepts it short.
+func TestServingFlagDomains(t *testing.T) {
+	cmds := []struct {
+		name string
+		cmd  func([]string) error
+		run  []string
+	}{
+		{"serve", cmdServe, []string{"-addr", "127.0.0.1:0", "-duration", "1ms"}},
+		{"loadgen", cmdLoadgen, []string{"-ctis", "1", "-schedules", "1", "-requests", "1", "-clients", "1"}},
+	}
+	bad := [][]string{
+		{"-queue", "0"}, {"-queue", "-1"},
+		{"-cache", "0"}, {"-cache", "-1"},
+		{"-deadline-ms", "-1"},
+	}
+	for _, c := range cmds {
+		for _, b := range bad {
+			t.Run(c.name+" "+strings.Join(b, " "), func(t *testing.T) {
+				err := c.cmd(append(append([]string{"-seed", "3"}, b...), c.run...))
+				if !errors.Is(err, errFlagDomain) || !strings.Contains(err.Error(), b[0]+" ") {
+					t.Fatalf("%s %v: got %v, want an out-of-range error naming %s", c.name, b, err, b[0])
+				}
+			})
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // through the HTTP client, either at a running server (-addr) or at the
 // server `snowcat serve` builds, started in-process behind one loopback
 // listener — the smallest end-to-end exercise of the serving stack: HTTP
-// and JSON, admission, the coalescer and the CTI station.
+// and JSON, admission, the CTI station and the scoring call.
 func cmdLoadgen(args []string) error {
 	fs, seed := newFlagSet("loadgen")
 	addr := fs.String("addr", "", "server base URL, e.g. http://127.0.0.1:8334 (empty runs an in-process server)")
@@ -36,13 +36,16 @@ func cmdLoadgen(args []string) error {
 	if *numCTIs <= 0 || *schedules <= 0 || *requests <= 0 || *clients <= 0 || *rate <= 0 {
 		return fmt.Errorf("-ctis, -schedules, -requests, -clients and -rate must be positive")
 	}
+	cfg, err := mkConfig()
+	if err != nil {
+		return err
+	}
 	if *addr != "" {
 		// The model and the serving flags configure the in-process server;
 		// a running server has its own, so setting one would do nothing.
-		var err error
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "model", "max-batch", "queue", "deadline-ms", "cache", "parallel":
+			case "model", "queue", "deadline-ms", "cache", "parallel":
 				if err == nil {
 					err = fmt.Errorf("-%s configures the in-process server and cannot be used with -addr", f.Name)
 				}
@@ -56,7 +59,7 @@ func cmdLoadgen(args []string) error {
 	url := *addr
 	var k *kernel.Kernel
 	if url == "" {
-		s, sk, err := newServerFromFlags(*seed, *size, *model, mkConfig)
+		s, sk, err := newServerFromFlags(*seed, *size, *model, cfg)
 		if err != nil {
 			return err
 		}
@@ -70,11 +73,8 @@ func cmdLoadgen(args []string) error {
 		defer hs.Close()
 		k, url = sk, "http://"+ln.Addr().String()
 		fmt.Printf("in-process server (kernel %s, %d blocks) on %s\n", k.Version, k.NumBlocks(), url)
-	} else {
-		var err error
-		if k, _, err = kernelFromFlags(*seed, *size); err != nil {
-			return err
-		}
+	} else if k, _, err = kernelFromFlags(*seed, *size); err != nil {
+		return err
 	}
 	client := serve.NewHTTPClient(url)
 
@@ -108,7 +108,7 @@ func cmdLoadgen(args []string) error {
 		if st.StationHits+st.StationMisses > 0 {
 			hitRate = float64(st.StationHits) / float64(st.StationHits+st.StationMisses)
 		}
-		fmt.Printf("server: mean batch %.1f, p50 %.0fµs p99 %.0fµs, station hit rate %.3f, error rate %.4f, shed rate %.4f\n",
+		fmt.Printf("server: %.1f graphs per request, p50 %.0fµs p99 %.0fµs, station hit rate %.3f, error rate %.4f, shed rate %.4f\n",
 			st.MeanBatch, st.LatencyP50US, st.LatencyP99US, hitRate, st.ErrorRate, st.ShedRate)
 	}
 	if res.Errors > 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -15,23 +16,33 @@ import (
 	"snowcat/internal/serve"
 )
 
+// errFlagDomain reports a flag value outside the flag's domain.
+var errFlagDomain = errors.New("flag value out of range")
+
 // serveFlags registers the serving knobs shared by the serve and loadgen
 // subcommands and maps them onto a serve.Config (loadgen applies it to
-// its in-process server).
-func serveFlags(fs *flag.FlagSet) func() serve.Config {
-	batch := fs.Int("max-batch", 32, "max graphs coalesced from the queue into one inference batch")
-	queue := fs.Int("queue", 256, "admission queue depth (full queue sheds non-waiting requests)")
+// its in-process server). A value outside a flag's domain is an error
+// that names the flag, never a silent default.
+func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
+	queue := fs.Int("queue", 256, "admission queue depth (full queue sheds requests with HTTP 503)")
 	deadlineMS := fs.Int("deadline-ms", 0, "default per-request deadline in milliseconds (0 = none)")
-	cache := fs.Int("cache", 64, "BaseContext cache capacity in CTIs")
+	cache := fs.Int("cache", 64, "capacity in CTIs of the CTI station and of the BaseContext cache")
 	workers := parallelFlag(fs)
-	return func() serve.Config {
+	return func() (serve.Config, error) {
+		switch {
+		case *queue < 1:
+			return serve.Config{}, fmt.Errorf("%w: -queue must be at least 1, got %d", errFlagDomain, *queue)
+		case *deadlineMS < 0:
+			return serve.Config{}, fmt.Errorf("%w: -deadline-ms must be at least 0, got %d", errFlagDomain, *deadlineMS)
+		case *cache < 1:
+			return serve.Config{}, fmt.Errorf("%w: -cache must be at least 1, got %d", errFlagDomain, *cache)
+		}
 		return serve.Config{
-			MaxBatch:   *batch,
 			Workers:    *workers,
 			QueueDepth: *queue,
 			Deadline:   time.Duration(*deadlineMS) * time.Millisecond,
 			CacheSize:  *cache,
-		}
+		}, nil
 	}
 }
 
@@ -39,7 +50,7 @@ func serveFlags(fs *flag.FlagSet) func() serve.Config {
 // server gets the kernel, so it scores /v1/predict_cti requests. An empty
 // model path serves a fresh untrained model over the kernel, so the
 // serving stack can be exercised without a training run first.
-func newServerFromFlags(seed uint64, size, model string, mkConfig func() serve.Config) (*serve.Server, *kernel.Kernel, error) {
+func newServerFromFlags(seed uint64, size, model string, cfg serve.Config) (*serve.Server, *kernel.Kernel, error) {
 	k, _, err := kernelFromFlags(seed, size)
 	if err != nil {
 		return nil, nil, err
@@ -59,7 +70,6 @@ func newServerFromFlags(seed uint64, size, model string, mkConfig func() serve.C
 	if _, err := reg.Activate("v1"); err != nil {
 		return nil, nil, err
 	}
-	cfg := mkConfig()
 	cfg.Kernel = k
 	return serve.New(reg, cfg), k, nil
 }
@@ -74,7 +84,11 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s, k, err := newServerFromFlags(*seed, *size, *model, mkConfig)
+	cfg, err := mkConfig()
+	if err != nil {
+		return err
+	}
+	s, k, err := newServerFromFlags(*seed, *size, *model, cfg)
 	if err != nil {
 		return err
 	}
@@ -104,7 +118,7 @@ func cmdServe(args []string) error {
 		fmt.Println("interrupt: draining")
 	case <-timeout:
 	}
-	// Stop accepting connections, then drain the batching pipeline.
+	// Stop accepting connections, then drain the admission queue.
 	if err := hs.Shutdown(context.Background()); err != nil {
 		return err
 	}
@@ -112,6 +126,6 @@ func cmdServe(args []string) error {
 		return err
 	}
 	st := s.Stats()
-	fmt.Printf("served %d requests (%d graphs, mean batch %.1f)\n", st.Requests, st.Graphs, st.MeanBatch)
+	fmt.Printf("served %d requests (%d graphs, %.1f graphs per request)\n", st.Requests, st.Graphs, st.MeanBatch)
 	return nil
 }

@@ -33,8 +33,8 @@ import (
 // its station's cached base and scores it, about 0.1 ms per graph on its
 // one worker. Utilisation stays low in every row but batch=32/clients=8,
 // which offers ~6,200 graphs/s and keeps the worker about 80% busy, so
-// there queueing sets the tail. The coalescer never holds a request:
-// it batches only what is already queued when the worker frees up.
+// there queueing sets the tail. The server never merges requests: the
+// worker scores each queued request with its own PredictAllCtx call.
 const benchReqRate = 25.0 // offered requests/s per client slot
 
 // benchModel builds the serving benchmark model: a single-layer Dim-6
@@ -58,7 +58,7 @@ func newBenchServer(b *testing.B, k *kernel.Kernel, m *pic.Model, tc *pic.TokenC
 	if _, err := reg.Activate("bench"); err != nil {
 		b.Fatal(err)
 	}
-	s := serve.New(reg, serve.Config{Kernel: k, MaxBatch: 32, Workers: 1, QueueDepth: 4096})
+	s := serve.New(reg, serve.Config{Kernel: k, Workers: 1, QueueDepth: 4096})
 	b.Cleanup(func() { s.Close() })
 	return s
 }

@@ -30,7 +30,6 @@ type Client struct {
 var (
 	_ predictor.Predictor   = (*Client)(nil)
 	_ predictor.BatchScorer = (*Client)(nil)
-	_ predictor.CTIScorer   = (*Client)(nil)
 )
 
 // NewClient wraps a server.
@@ -44,9 +43,9 @@ func (c *Client) Score(g *ctgraph.Graph) []float64 {
 }
 
 // ScoreBatch implements predictor.BatchScorer: the whole batch rides one
-// request, so the server scores it as one coalesced unit. The workers
-// argument is ignored — the serving side owns its pool width (results are
-// identical at any width).
+// request, so the server scores it with one PredictAllCtx call. The
+// workers argument is ignored — the serving side owns its pool width
+// (results are identical at any width).
 func (c *Client) ScoreBatch(gs []*ctgraph.Graph, workers int) [][]float64 {
 	if len(gs) == 0 {
 		return nil
@@ -82,19 +81,3 @@ func (c *Client) Name() string {
 	}
 	return "serve"
 }
-
-// BeginCTI implements predictor.CTIScorer by priming the server's
-// BaseContext cache for the CTI — the per-CTI amortisation the direct
-// predictor.PIC gets from its bracket. Graphs derived from the base hit
-// the cache whether or not the bracket ran; this only front-loads the
-// build. No client-side state is kept, so unlike predictor.PIC the
-// bracket may race with Score calls harmlessly.
-func (c *Client) BeginCTI(base *ctgraph.Base) {
-	if snap := c.S.Registry().Active(); snap != nil && base != nil {
-		c.S.Cache().Get(snap, base)
-	}
-}
-
-// EndCTI implements predictor.CTIScorer; eviction is the LRU's job, so
-// this is a no-op.
-func (c *Client) EndCTI() {}

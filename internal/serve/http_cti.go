@@ -199,7 +199,7 @@ func (s *Server) handlePredictCTI(w http.ResponseWriter, r *http.Request) {
 	for i, ws := range req.Schedules {
 		scheds[i] = ws.Schedule()
 	}
-	opts := Request{Model: req.Model, Wait: true}
+	opts := Request{Model: req.Model}
 	if req.DeadlineMS > 0 {
 		opts.Deadline = time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 	}

@@ -11,7 +11,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"snowcat/internal/ctgraph"
 	"snowcat/internal/sim"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
@@ -178,6 +180,56 @@ func TestHTTPClientKeepsSentinels(t *testing.T) {
 		if errors.Is(err, sentinel) {
 			t.Fatalf("non-sentinel reply matches %v", sentinel)
 		}
+	}
+}
+
+// TestHTTPShedsWhenQueueFull pins HTTP admission: /v1/predict_cti never
+// waits for queue space, so behind a busy dispatcher a depth-1 queue sheds
+// the overflow with 503, which HTTPClient maps back to ErrOverloaded.
+func TestHTTPShedsWhenQueueFull(t *testing.T) {
+	f := newStationFixture(t, 1601, 1, 1)
+	s := f.newServer(t, Config{Kernel: f.k, Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	big := make([]*ctgraph.Graph, 3000)
+	for i := range big {
+		big[i] = f.graphs[0]
+	}
+	bigDone := make(chan error, 1)
+	go func() {
+		_, err := s.Predict(context.Background(), &Request{Graphs: big, Wait: true})
+		bigDone <- err
+	}()
+	for s.Stats().Batches == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+
+	// One request fills the queue and is served after the big one; the
+	// others find it full.
+	const n = 3
+	client := NewHTTPClient(ts.URL)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := client.PredictCTI(context.Background(), f.ctis[0], f.scheds[0], 0)
+			errs <- err
+		}()
+	}
+	shed := 0
+	for i := 0; i < n; i++ {
+		switch err := <-errs; {
+		case errors.Is(err, ErrOverloaded):
+			shed++
+		case err != nil:
+			t.Fatalf("request: %v", err)
+		}
+	}
+	if err := <-bigDone; err != nil {
+		t.Fatalf("big request: %v", err)
+	}
+	if shed == 0 || s.Stats().Shed != uint64(shed) {
+		t.Fatalf("%d requests shed over HTTP, server counted %d; want at least 1 and equal", shed, s.Stats().Shed)
 	}
 }
 

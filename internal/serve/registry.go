@@ -1,18 +1,18 @@
 // Package serve exposes PIC inference as a service: a versioned model
-// registry with atomic hot-swap, a micro-batch coalescer that scores the
-// requests already queued together on the zero-alloc inference fast path
-// (it never holds a batch open for more), an LRU cache of per-CTI
-// pic.BaseContexts, admission control with load shedding and graceful
-// drain, and a stdlib net/http JSON API. An in-process Client implements
-// predictor.Predictor, so every exploration consumer (explore.Walk,
-// campaign, razzer, snowboard) runs unmodified against the service.
+// registry with atomic hot-swap, admission control with load shedding and
+// graceful drain in front of one pic.Model.PredictAllCtx call per
+// request, an LRU cache of per-CTI pic.BaseContexts, a CTI station that
+// builds base graphs server-side, and a stdlib net/http JSON API. An
+// in-process Client implements predictor.Predictor, so every exploration
+// consumer (explore.Walk, campaign, razzer, snowboard) runs unmodified
+// against the service.
 //
 // The economic argument is the paper's ~190:1 ratio between one model
 // inference (~0.015 s) and one dynamic execution (~2.8 s): one request
 // already carries a CTI's batch of candidate schedules, and any number of
 // executors can consult one predictor, so it earns a real service
 // boundary. Served predictions are bit-identical to calling
-// pic.Model.PredictAllCtx directly — batching, caching, and the wire
+// pic.Model.PredictAllCtx directly — admission, caching, and the wire
 // layer only move work around, they never change an operation (pinned by
 // the equivalence tests).
 package serve
@@ -50,10 +50,10 @@ type Snapshot struct {
 }
 
 // Registry holds the versioned model snapshots and the active-version
-// pointer. Activation is atomic with respect to Active: a batch reads
+// pointer. Activation is atomic with respect to Active: a request reads
 // either the old or the new snapshot pointer and scores every graph on
 // it, so it never mixes versions, and every response carries the version
-// that actually scored it. A batch still scoring on a retired snapshot
+// that actually scored it. A request still scoring on a retired snapshot
 // keeps it alive by holding the pointer. Every loaded version stays
 // registered. All methods are safe for concurrent use.
 type Registry struct {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -109,8 +108,8 @@ func (f *fixture) direct(workers int) [][]float64 {
 
 // TestServedMatchesDirectPredict pins the acceptance criterion: served
 // predictions are bit-identical to direct pic.PredictAllCtx, in both the
-// deterministic synchronous mode and the coalescing asynchronous mode, at
-// worker counts 1 and 4 (run under -race by `make test`).
+// deterministic synchronous mode and the queued mode, at worker counts 1
+// and 4 (run under -race by `make test`).
 func TestServedMatchesDirectPredict(t *testing.T) {
 	f := newFixture(t, 101, 3, 4)
 	want := f.direct(1)
@@ -132,7 +131,7 @@ func TestServedMatchesDirectPredict(t *testing.T) {
 			s := f.newServer(t, mode.cfg)
 
 			// One request per graph, concurrently, so the async mode
-			// actually coalesces.
+			// actually queues.
 			got := make([][]float64, len(f.graphs))
 			var wg sync.WaitGroup
 			for i, g := range f.graphs {
@@ -159,7 +158,9 @@ func TestServedMatchesDirectPredict(t *testing.T) {
 				t.Fatal("served predictions diverged from direct PredictAllCtx")
 			}
 
-			// And the whole set as one batched request.
+			// And the whole set as one request, which mixes three bases:
+			// the graphs of the second and third compute their features
+			// in full.
 			resp, err := s.Predict(context.Background(), &Request{Graphs: f.graphs, Wait: true})
 			if err != nil {
 				t.Fatal(err)
@@ -212,8 +213,8 @@ func TestClientMatchesDirectPIC(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("campaign via serve client diverged from direct predictor\nwant: %+v\ngot:  %+v", want, got)
 	}
-	if hits, misses, _ := s.Cache().Counters(); hits == 0 || misses == 0 {
-		t.Fatalf("BaseContext cache unused by campaign: hits=%d misses=%d", hits, misses)
+	if st := s.Stats(); st.CacheHits == 0 || st.CacheMisses == 0 {
+		t.Fatalf("BaseContext cache unused by campaign: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
 	}
 }
 
@@ -287,7 +288,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				t.Fatalf("response carries unknown version %q", o.version)
 			}
 			if !reflect.DeepEqual(o.scores, want) {
-				t.Fatalf("graph %d labelled %s: scores do not match that version's model (mixed-version batch?)",
+				t.Fatalf("graph %d labelled %s: scores do not match that version's model (mixed-version response?)",
 					o.graph, o.version)
 			}
 		}
@@ -302,14 +303,14 @@ func TestHotSwapUnderLoad(t *testing.T) {
 }
 
 // TestAdmissionControl exercises the bounded queue: while the dispatcher
-// is stuck scoring a large batch, a depth-1 queue sheds the overflow with
-// ErrOverloaded.
+// is stuck scoring a large request, a depth-1 queue sheds the overflow
+// with ErrOverloaded.
 func TestAdmissionControl(t *testing.T) {
 	f := newFixture(t, 301, 1, 2)
-	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4, QueueDepth: 1})
+	s := f.newServer(t, Config{Workers: 1, QueueDepth: 1})
 
-	// A request far larger than MaxBatch forms one oversized batch and
-	// occupies the dispatcher long enough to fill the queue behind it.
+	// A large request occupies the dispatcher long enough to fill the
+	// queue behind it.
 	big := make([]*ctgraph.Graph, 3000)
 	for i := range big {
 		big[i] = f.graphs[i%len(f.graphs)]
@@ -319,7 +320,7 @@ func TestAdmissionControl(t *testing.T) {
 		_, err := s.Predict(context.Background(), &Request{Graphs: big, Wait: true})
 		done <- err
 	}()
-	// Wait until the dispatcher has started scoring the big batch.
+	// Wait until the dispatcher has started scoring the big request.
 	for s.Stats().Batches == 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -348,11 +349,11 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestDeadlineSheds asserts a request whose deadline passes before its
-// batch scores is rejected with ErrDeadline, not silently served late.
+// TestDeadlineSheds asserts a request whose deadline passes before it
+// scores is rejected with ErrDeadline, not silently served late.
 func TestDeadlineSheds(t *testing.T) {
 	f := newFixture(t, 401, 1, 1)
-	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4})
+	s := f.newServer(t, Config{Workers: 1})
 
 	// A 2000-graph request occupies the dispatcher far longer than the
 	// deadline below, so the short-deadline request expires in the queue.
@@ -389,7 +390,7 @@ func TestDeadlineSheds(t *testing.T) {
 // asserts every admitted request is served, not dropped.
 func TestGracefulDrain(t *testing.T) {
 	f := newFixture(t, 501, 1, 2)
-	s := f.newServer(t, Config{Workers: 1, MaxBatch: 4, QueueDepth: 16})
+	s := f.newServer(t, Config{Workers: 1, QueueDepth: 16})
 
 	big := make([]*ctgraph.Graph, 2000)
 	for i := range big {
@@ -436,6 +437,63 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestEachRequestScoredAlone pins the one-call rule: requests that queue
+// behind a busy dispatcher are never merged. Each is scored by its own
+// PredictAllCtx call, so a large request and three 1-graph requests queued
+// behind it count 4 batches, and each response carries only its own
+// scores.
+func TestEachRequestScoredAlone(t *testing.T) {
+	f := newFixture(t, 1001, 1, 3)
+	s := f.newServer(t, Config{Workers: 1})
+
+	big := make([]*ctgraph.Graph, 2000)
+	for i := range big {
+		big[i] = f.graphs[i%len(f.graphs)]
+	}
+	bigDone := make(chan error, 1)
+	go func() {
+		_, err := s.Predict(context.Background(), &Request{Graphs: big, Wait: true})
+		bigDone <- err
+	}()
+	for s.Stats().Batches == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+
+	resps := make([]*Response, len(f.graphs))
+	var wg sync.WaitGroup
+	for i, g := range f.graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Predict(context.Background(), &Request{Graphs: []*ctgraph.Graph{g}, Wait: true})
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+			resps[i] = resp
+		}()
+	}
+	for s.Stats().QueueDepth < len(f.graphs) {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := <-bigDone; err != nil {
+		t.Fatalf("big request: %v", err)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if st := s.Stats(); st.Batches != 4 || st.BatchedGraphs != uint64(len(big)+len(f.graphs)) {
+		t.Fatalf("batches/graphs = %d/%d, want 4/%d: queued requests were merged",
+			st.Batches, st.BatchedGraphs, len(big)+len(f.graphs))
+	}
+	for i, resp := range resps {
+		want := [][]float64{f.model.Predict(f.graphs[i], f.tc)}
+		if !reflect.DeepEqual(resp.Scores, want) {
+			t.Fatalf("request %d: response carries %d score rows, want its own one", i, len(resp.Scores))
+		}
+	}
+}
+
 // TestRegistryRefusesMismatches covers the registry edge cases: an empty
 // registry, duplicate versions, unknown versions, and models of a
 // different kernel.
@@ -462,54 +520,6 @@ func TestRegistryRefusesMismatches(t *testing.T) {
 	m2, tc2 := tinyModel(k2, 78)
 	if err := reg.Load("other-kernel", m2, tc2); !errors.Is(err, ErrKernelMismatch) {
 		t.Fatalf("cross-kernel load: %v", err)
-	}
-}
-
-// TestGatherDrainsQueued pins the coalescer's batching rule. A Sync
-// server has a queue but no dispatcher to race with, so the test fills
-// the queue itself: gather takes whole requests in FIFO order until the
-// batch holds MaxBatch graphs, leaves the rest queued, and returns at
-// once when the queue runs dry.
-func TestGatherDrainsQueued(t *testing.T) {
-	f := newFixture(t, 1001, 1, 3)
-	s := f.newServer(t, Config{Sync: true, MaxBatch: 4})
-	mk := func(n int) *pending {
-		return &pending{req: &Request{Graphs: f.graphs[:n]}, reply: make(chan result, 1)}
-	}
-
-	// 1 + 3 graphs fill MaxBatch: b and c stay queued.
-	first, a, b, c := mk(1), mk(3), mk(1), mk(2)
-	for _, p := range []*pending{a, b, c} {
-		s.queue <- p
-	}
-	if got := s.gather(first); !slices.Equal(got, []*pending{first, a}) {
-		t.Fatalf("gathered %d requests, want first and a", len(got))
-	}
-	if len(s.queue) != 2 {
-		t.Fatalf("%d requests left queued, want 2", len(s.queue))
-	}
-	// 1 + 2 graphs stay under MaxBatch: the queue runs dry and gather
-	// returns with what it has.
-	if got := s.gather(<-s.queue); !slices.Equal(got, []*pending{b, c}) {
-		t.Fatalf("gathered %d requests, want b and c", len(got))
-	}
-	// A request is never split: 3 + 3 graphs overshoot MaxBatch together.
-	d, e := mk(3), mk(3)
-	s.queue <- e
-	if got := s.gather(d); !slices.Equal(got, []*pending{d, e}) {
-		t.Fatalf("gathered %d requests, want d and e", len(got))
-	}
-	// An empty queue returns the first request alone, without waiting.
-	lone := mk(1)
-	done := make(chan []*pending, 1)
-	go func() { done <- s.gather(lone) }()
-	select {
-	case got := <-done:
-		if !slices.Equal(got, []*pending{lone}) {
-			t.Fatalf("gathered %d requests from an empty queue, want 1", len(got))
-		}
-	case <-time.After(time.Second):
-		t.Fatal("gather blocked on an empty queue")
 	}
 }
 
@@ -577,10 +587,10 @@ func TestStatsCounters(t *testing.T) {
 }
 
 // TestSyncRequestReusesArenas pins the synchronous path's arena reuse: a
-// warm request borrows a pooled set of inference arenas instead of
-// growing fresh ones, so it allocates only its response and the fan-out's
-// bookkeeping (8 allocations for two graphs on one worker, against 117
-// with fresh arenas).
+// warm request's PredictAllCtx call borrows inference arenas from pic's
+// pool instead of growing fresh ones, so it allocates only its response
+// and the fan-out's bookkeeping (8 allocations for two graphs on one
+// worker, against 117 with fresh arenas).
 func TestSyncRequestReusesArenas(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of its items under -race")

@@ -9,7 +9,6 @@ import (
 
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
-	"snowcat/internal/parallel"
 	"snowcat/internal/pic"
 )
 
@@ -18,13 +17,13 @@ var (
 	// ErrOverloaded reports a request shed because the admission queue was
 	// full — the backpressure signal callers retry against.
 	ErrOverloaded = errors.New("serve: overloaded, admission queue full")
-	// ErrDeadline reports a request whose deadline expired before its
-	// batch was scored (load shedding under sustained overload).
+	// ErrDeadline reports a request whose deadline expired before it was
+	// scored (load shedding under sustained overload).
 	ErrDeadline = errors.New("serve: deadline expired before scoring")
 	// ErrClosed reports a request against a closed (or closing) server.
 	ErrClosed = errors.New("serve: server closed")
 	// ErrModelVersion reports a request pinned to a version that was not
-	// active when its batch scored.
+	// active when it scored.
 	ErrModelVersion = errors.New("serve: requested model version is not active")
 	// ErrBadRequest reports a structurally invalid request.
 	ErrBadRequest = errors.New("serve: invalid request")
@@ -33,13 +32,8 @@ var (
 // Config tunes one Server. The zero value is usable: defaults are applied
 // by New.
 type Config struct {
-	// MaxBatch caps how many graphs one inference batch may carry;
-	// <= 0 selects 32. The dispatcher coalesces requests already queued
-	// behind the first and never waits for more. Requests are never split
-	// across batches, so a request larger than MaxBatch forms its own
-	// oversized batch.
-	MaxBatch int
-	// Workers bounds the scoring pool per batch; <= 0 selects GOMAXPROCS.
+	// Workers bounds the scoring pool of one request; <= 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the admission queue (in requests); <= 0 selects
 	// 256. A full queue sheds non-waiting requests with ErrOverloaded.
@@ -47,7 +41,8 @@ type Config struct {
 	// Deadline is the default per-request deadline applied at admission
 	// when the request carries none; 0 disables default deadlines.
 	Deadline time.Duration
-	// CacheSize bounds the BaseContext LRU; <= 0 selects 64.
+	// CacheSize bounds, in CTIs, both the BaseContext LRU and the CTI
+	// station; <= 0 selects 64.
 	CacheSize int
 	// Kernel, when non-nil, enables the CTI station: the server can then
 	// score raw (CTI, schedules) requests, profiling the STIs and building
@@ -55,45 +50,37 @@ type Config struct {
 	// kernel-agnostic: it scores in-process graph requests only, and
 	// /v1/predict_cti answers 501.
 	Kernel *kernel.Kernel
-	// StationSize bounds the CTI station LRU (in CTIs); <= 0 selects 64.
-	// Ignored when Kernel is nil.
-	StationSize int
 	// Sync selects the deterministic synchronous mode: requests are
 	// scored inline on the caller's goroutine with no queue or
 	// dispatcher, so a single-client call sequence is exactly as
-	// reproducible as calling pic.Model.PredictAllCtx directly. Batched
+	// reproducible as calling pic.Model.PredictAllCtx directly. Queued
 	// and sync predictions are bit-identical either way; Sync only
-	// removes scheduling non-determinism (and cross-request coalescing).
+	// removes scheduling non-determinism.
 	Sync bool
 }
 
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
 	}
-	if c.StationSize <= 0 {
-		c.StationSize = 64
-	}
 	return c
 }
 
 // Request is one prediction request: score every graph with the active
-// model. Graphs built via ctgraph.Base.WithSchedule reuse the per-CTI
-// BaseContext cache automatically (keyed by Graph.BaseOf).
+// model. The request's graphs share the cached BaseContext of its first
+// graph's base (Graph.BaseOf), so one request should carry one CTI's
+// schedules, as ctgraph.Base.WithSchedule builds them.
 type Request struct {
 	Graphs []*ctgraph.Graph
 	// Model, when non-empty, pins the request to a version: it fails with
 	// ErrModelVersion instead of scoring against any other version.
 	Model string
-	// Deadline, when non-zero, sheds the request with ErrDeadline if its
-	// batch has not started scoring by then.
+	// Deadline, when non-zero, sheds the request with ErrDeadline if it
+	// has not started scoring by then.
 	Deadline time.Time
 	// Wait makes admission block while the queue is full instead of
 	// shedding with ErrOverloaded — the in-process client mode, where
@@ -110,7 +97,7 @@ type Response struct {
 	Scores    [][]float64
 }
 
-// pending is one admitted request waiting for its batch.
+// pending is one admitted request waiting for the dispatcher.
 type pending struct {
 	req   *Request
 	reply chan result
@@ -121,9 +108,12 @@ type result struct {
 	err  error
 }
 
-// Server is the prediction service: admission queue, micro-batch
-// coalescer, model registry, and BaseContext cache. Create with New,
-// stop with Close (which drains admitted requests before returning).
+// Server is the prediction service: a thin admission layer over
+// pic.Model.PredictAllCtx. It holds the admission queue, the model
+// registry, the BaseContext cache and the CTI station; the dispatcher
+// scores queued requests one at a time, each with one PredictAllCtx call.
+// Create with New, stop with Close (which drains admitted requests before
+// returning).
 type Server struct {
 	cfg   Config
 	reg   *Registry
@@ -134,9 +124,7 @@ type Server struct {
 	quit  chan struct{} // closed by Close: stop accepting, start draining
 	done  chan struct{} // closed when the dispatcher has drained and exited
 
-	closed    sync.Once
-	scratches []*pic.Scratch // dispatcher-owned inference arenas
-	arenas    sync.Pool      // *[]*pic.Scratch sets lent to synchronous callers
+	closed sync.Once
 
 	station *CTIStation // per-CTI state; nil unless configured
 
@@ -155,7 +143,7 @@ func New(reg *Registry, cfg Config) *Server {
 	}
 	s.cache = NewBaseCache(s.cfg.CacheSize)
 	if s.cfg.Kernel != nil {
-		s.station = NewCTIStation(s.cfg.Kernel, s.cfg.StationSize)
+		s.station = NewCTIStation(s.cfg.Kernel, s.cfg.CacheSize)
 	}
 	s.queue = make(chan *pending, s.cfg.QueueDepth)
 	s.quit = make(chan struct{})
@@ -171,11 +159,8 @@ func New(reg *Registry, cfg Config) *Server {
 // Registry returns the server's model registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Cache returns the server's BaseContext cache.
-func (s *Server) Cache() *BaseCache { return s.cache }
-
 // Swap activates version and invalidates the old snapshot's cached
-// BaseContexts — the hot-swap entry point. In-flight batches finish on
+// BaseContexts — the hot-swap entry point. In-flight requests finish on
 // the old snapshot they read (their responses carry its version).
 func (s *Server) Swap(version string) error {
 	old, err := s.reg.Activate(version)
@@ -189,9 +174,9 @@ func (s *Server) Swap(version string) error {
 	return nil
 }
 
-// Predict scores one request, blocking until its batch completes, the
-// context is cancelled, or admission fails. Safe for any number of
-// concurrent callers.
+// Predict scores one request, blocking until it is scored, the context is
+// cancelled, or admission fails. Safe for any number of concurrent
+// callers.
 func (s *Server) Predict(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil || len(req.Graphs) == 0 {
 		return nil, fmt.Errorf("%w: no graphs", ErrBadRequest)
@@ -297,110 +282,32 @@ func (s *Server) Stats() StatsSnapshot {
 	return out
 }
 
-// dispatch is the coalescer loop: take the first pending request, add
-// whatever is already queued behind it (gather), score the batch, and go
-// again. On Close it drains whatever admission already accepted —
-// graceful shutdown never drops an admitted request.
+// dispatch is the dispatcher loop: take the next queued request, score it
+// with serveOne and reply. On Close it drains whatever admission already
+// accepted — graceful shutdown never drops an admitted request.
 func (s *Server) dispatch() {
 	defer close(s.done)
 	for {
+		var p *pending
 		select {
-		case first := <-s.queue:
-			s.runBatch(s.gather(first))
+		case p = <-s.queue:
 		case <-s.quit:
-			for {
-				select {
-				case p := <-s.queue:
-					s.runBatch(s.gather(p))
-				default:
-					return
-				}
+			select {
+			case p = <-s.queue:
+			default:
+				return
 			}
 		}
+		resp, err := s.serveOne(p.req)
+		p.reply <- result{resp: resp, err: err}
 	}
 }
 
-// gather coalesces first with the requests already queued behind it, in
-// FIFO order, until the batch holds MaxBatch graphs or the queue is
-// empty. It never waits for a request to arrive and never splits one.
-func (s *Server) gather(first *pending) []*pending {
-	batch := []*pending{first}
-	n := len(first.req.Graphs)
-	for n < s.cfg.MaxBatch {
-		select {
-		case p := <-s.queue:
-			batch = append(batch, p)
-			n += len(p.req.Graphs)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch scores one coalesced batch on a single registry snapshot and
-// replies to every member. Expired or version-mismatched members are
-// rejected without scoring; the rest share one inference fan-out.
-func (s *Server) runBatch(batch []*pending) {
-	snap := s.reg.Active()
-	if snap == nil {
-		for _, p := range batch {
-			s.stats.errors.Add(1)
-			p.reply <- result{err: ErrNoModel}
-		}
-		return
-	}
-
-	now := time.Now()
-	live := batch[:0]
-	for _, p := range batch {
-		switch {
-		case !p.req.Deadline.IsZero() && now.After(p.req.Deadline):
-			s.stats.expired.Add(1)
-			p.reply <- result{err: ErrDeadline}
-		case p.req.Model != "" && p.req.Model != snap.Version:
-			s.stats.errors.Add(1)
-			p.reply <- result{err: fmt.Errorf("%w: want %q, active %q", ErrModelVersion, p.req.Model, snap.Version)}
-		default:
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	var gs []*ctgraph.Graph
-	for _, p := range live {
-		gs = append(gs, p.req.Graphs...)
-	}
-	s.stats.batches.Add(1)
-	s.stats.batched.Add(uint64(len(gs)))
-
-	w := parallel.Workers(s.cfg.Workers)
-	for len(s.scratches) < w {
-		s.scratches = append(s.scratches, pic.NewScratch())
-	}
-	scores := s.score(snap, gs, s.scratches)
-
-	s.mu.Lock()
-	s.served[snap.Version] += uint64(len(gs))
-	s.mu.Unlock()
-
-	off := 0
-	for _, p := range live {
-		n := len(p.req.Graphs)
-		p.reply <- result{resp: &Response{
-			Model:     snap.Version,
-			Threshold: snap.Model.Threshold,
-			Scores:    scores[off : off+n : off+n],
-		}}
-		off += n
-	}
-}
-
-// serveOne is the synchronous path: score req inline against the current
-// snapshot, on a set of scratch arenas borrowed from s.arenas, so a warm
-// request grows no buffers and concurrent sync callers never share a set.
+// serveOne scores req against the current snapshot with one
+// pic.Model.PredictAllCtx call, which borrows its arenas from pic's pool.
+// It looks up one BaseContext, the one of the first graph's base: a graph
+// of another base (or of none) computes its features in full — slow,
+// never wrong.
 func (s *Server) serveOne(req *Request) (*Response, error) {
 	snap := s.reg.Active()
 	if snap == nil {
@@ -417,42 +324,13 @@ func (s *Server) serveOne(req *Request) (*Response, error) {
 	}
 	s.stats.batches.Add(1)
 	s.stats.batched.Add(uint64(len(req.Graphs)))
-	set, _ := s.arenas.Get().(*[]*pic.Scratch)
-	if set == nil {
-		set = new([]*pic.Scratch)
+	var bc *pic.BaseContext
+	if base := req.Graphs[0].BaseOf(); base != nil {
+		bc = s.cache.Get(snap, base)
 	}
-	for len(*set) < parallel.Workers(s.cfg.Workers) {
-		*set = append(*set, pic.NewScratch())
-	}
-	scores := s.score(snap, req.Graphs, *set)
-	s.arenas.Put(set)
+	scores := snap.Model.PredictAllCtx(req.Graphs, snap.TC, s.cfg.Workers, bc)
 	s.mu.Lock()
 	s.served[snap.Version] += uint64(len(req.Graphs))
 	s.mu.Unlock()
 	return &Response{Model: snap.Version, Threshold: snap.Model.Threshold, Scores: scores}, nil
-}
-
-// score runs the inference fan-out for one batch: per-worker scratch
-// arenas and per-graph BaseContexts from the LRU (graphs without a Base —
-// or from another kernel era — predict without one; slow, never wrong).
-// The output is bit-identical to pic.Model.PredictAllCtx over the same
-// graphs at any worker count.
-func (s *Server) score(snap *Snapshot, gs []*ctgraph.Graph, scratches []*pic.Scratch) [][]float64 {
-	bcs := make([]*pic.BaseContext, len(gs))
-	for i, g := range gs {
-		if base := g.BaseOf(); base != nil {
-			bcs[i] = s.cache.Get(snap, base)
-		}
-	}
-	w := parallel.Workers(s.cfg.Workers)
-	if w > len(scratches) {
-		w = len(scratches)
-	}
-	out, err := parallel.MapWorkers(w, len(gs), func(worker, i int) ([]float64, error) {
-		return snap.Model.PredictInto(nil, gs[i], snap.TC, scratches[worker], bcs[i]), nil
-	})
-	if err != nil {
-		panic(err) // only a worker panic can land here; re-raise it
-	}
-	return out
 }

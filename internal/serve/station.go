@@ -122,10 +122,11 @@ func (st *CTIStation) Counters() (hits, misses, evictions uint64) {
 
 // PredictCTI scores the given schedules of one CTI: the request shape of
 // /v1/predict_cti, where the server owns all per-CTI state. On a station
-// miss the server profiles the STIs and builds the base graph itself; the derived graphs then ride the normal
-// admission/coalescing path (and the BaseContext LRU) exactly like
-// in-process graph requests. opts carries the admission options — Model,
-// Deadline and Wait (see Request); its Graphs are ignored.
+// miss the server profiles the STIs and builds the base graph itself; the
+// derived graphs then ride the normal admission path (and the BaseContext
+// LRU) exactly like in-process graph requests. opts carries the admission
+// options — Model, Deadline and Wait (see Request); its Graphs are
+// ignored.
 func (s *Server) PredictCTI(ctx context.Context, cti ski.CTI, scheds []ski.Schedule, opts Request) (*Response, error) {
 	if s.station == nil {
 		return nil, ErrNoStation

@@ -56,7 +56,7 @@ func newStationFixture(t testing.TB, seed uint64, ctis, schedsPer int) *stationF
 func TestPredictCTIMatchesGraphPath(t *testing.T) {
 	f := newStationFixture(t, 211, 3, 4)
 	want := f.direct(1)
-	s := f.newServer(t, Config{Kernel: f.k, StationSize: 8})
+	s := f.newServer(t, Config{Kernel: f.k})
 	got := make([][]float64, 0, len(want))
 	for i, cti := range f.ctis {
 		resp, err := s.PredictCTI(context.Background(), cti, f.scheds[i], Request{Wait: true})
@@ -91,7 +91,7 @@ func TestPredictCTIMatchesGraphPath(t *testing.T) {
 }
 
 // TestStationEvictionUnderConcurrentMixedCTILoad is the satellite race
-// test: a station (and BaseContext LRU) far smaller than the working set,
+// test: a station and BaseContext LRU far smaller than the working set,
 // hammered by concurrent clients with interleaved CTIs, must evict
 // constantly yet return bit-correct scores throughout (run under -race).
 func TestStationEvictionUnderConcurrentMixedCTILoad(t *testing.T) {
@@ -99,11 +99,9 @@ func TestStationEvictionUnderConcurrentMixedCTILoad(t *testing.T) {
 	f := newStationFixture(t, 223, ctis, schedsPer)
 	want := f.direct(1)
 	s := f.newServer(t, Config{
-		Kernel:      f.k,
-		StationSize: 3, // working set 8: guaranteed thrash
-		CacheSize:   2, // BaseContext LRU thrashes too
-		MaxBatch:    4,
-		Workers:     2,
+		Kernel:    f.k,
+		CacheSize: 3, // working set 8: the station and the LRU both thrash
+		Workers:   2,
 	})
 	const clients, rounds = 4, 6
 	var wg sync.WaitGroup
@@ -150,14 +148,14 @@ func TestStationEvictionUnderConcurrentMixedCTILoad(t *testing.T) {
 	}
 }
 
-// TestHotSwapDrainMidCoalesce is the race test for the registry: model
-// versions swap while requests queue and coalesce. Every response must be
-// internally consistent (scored wholly by one version) and no admitted
-// request may be dropped (run under -race).
-func TestHotSwapDrainMidCoalesce(t *testing.T) {
+// TestHotSwapDrainMidQueue is the race test for the registry: model
+// versions swap while requests queue. Every response must be internally
+// consistent (scored wholly by one version) and no admitted request may be
+// dropped (run under -race).
+func TestHotSwapDrainMidQueue(t *testing.T) {
 	f := newFixture(t, 229, 2, 6)
 	m2, tc2 := tinyModel(f.k, 999)
-	s := f.newServer(t, Config{MaxBatch: 8, Workers: 2})
+	s := f.newServer(t, Config{Workers: 2})
 	if err := s.Registry().Load("v2", m2, tc2); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +221,7 @@ func TestHotSwapDrainMidCoalesce(t *testing.T) {
 // HTTPClient.
 func TestPredictCTIHTTPRoundTrip(t *testing.T) {
 	f := newStationFixture(t, 241, 2, 3)
-	s := f.newServer(t, Config{Kernel: f.k, StationSize: 8})
+	s := f.newServer(t, Config{Kernel: f.k})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL)

@@ -83,14 +83,14 @@ func (h *latHist) quantiles(qs ...float64) []float64 {
 }
 
 // stats holds the server's ledger-style counters. Admission-side counters
-// are bumped from request goroutines and batch-side counters from the
-// dispatcher, so everything is atomic; StatsSnapshot flattens them for
-// /statsz and tests.
+// are bumped from request goroutines and scoring-side counters from the
+// dispatcher (or a Sync caller), so everything is atomic; StatsSnapshot
+// flattens them for /statsz and tests.
 type stats struct {
 	requests atomic.Uint64 // predict requests admitted (before validation)
 	graphs   atomic.Uint64 // graphs carried by admitted requests
-	batches  atomic.Uint64 // inference batches dispatched
-	batched  atomic.Uint64 // graphs scored across all batches
+	batches  atomic.Uint64 // requests scored, one PredictAllCtx call each
+	batched  atomic.Uint64 // graphs scored across those requests
 	shed     atomic.Uint64 // requests rejected by admission control (queue full)
 	expired  atomic.Uint64 // requests whose deadline passed before scoring
 	errors   atomic.Uint64 // requests failed for any other reason
@@ -99,8 +99,9 @@ type stats struct {
 }
 
 // StatsSnapshot is a point-in-time copy of every serving counter, the
-// /statsz payload. MeanBatch derives the coalescing factor the batching
-// policy achieved; CacheHits/Misses/Evictions mirror the BaseContext LRU;
+// /statsz payload. Batches counts scored requests and MeanBatch is graphs
+// per scored request; CacheHits/Misses/Evictions mirror the BaseContext
+// LRU, which a scored request consults at most once;
 // LatencyP50US/P90US/P99US summarise the latency histogram of requests
 // that scored successfully (admission to reply, log-bucketed to ~19%);
 // ErrorRate and ShedRate are fractions of admitted requests that failed

@@ -52,7 +52,7 @@ func (p *recordingPublisher) lookup(version string) ([][]float64, float64, bool)
 }
 
 // The hot-swap proof: a background trainer publishes a rolling sequence
-// of retrained versions, through PublishTo, into a live coalescing server
+// of retrained versions, through PublishTo, into a live queued server
 // while an open-loop load generator drives prediction traffic at it. The
 // loadgen must observe zero dropped responses, and every response must be
 // attributable to exactly one registered version — its scores and
