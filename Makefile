@@ -94,12 +94,12 @@ bench-parallel:
 # Inference, training + executor hot-path benchmarks; snapshots the
 # numbers to BENCH_predict.json. Covers single predicts, the direct and
 # amortised (BaseContext) schedule sweeps, one interpreter execution, one
-# GCN layer's forward and backward passes and one training epoch at the
-# learn-retrain model's shape.
+# GCN layer's forward and backward passes, the prediction head and one
+# training epoch at the learn-retrain model's shape.
 bench-predict:
 	$(GO) test -run xxx -bench 'BenchmarkPredictOne$$|BenchmarkPredictOneBase$$|BenchmarkScheduleSweep$$|BenchmarkScheduleSweepBase$$|BenchmarkExecuteInterp$$' \
 		-benchmem -benchtime 2s . | tee bench_predict.out
-	$(GO) test -run xxx -bench 'BenchmarkGCN(Infer|Backward)/model$$' \
+	$(GO) test -run xxx -bench 'BenchmarkGCN(Infer|Backward)/model$$|BenchmarkHead$$' \
 		-benchmem -benchtime 2s ./internal/nn | tee -a bench_predict.out
 	$(GO) test -run xxx -bench 'BenchmarkTrainEpoch$$' \
 		-benchmem -benchtime 2s ./internal/pic | tee -a bench_predict.out

@@ -203,6 +203,9 @@ func cmdTrain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *dim < 1 {
+		return fmt.Errorf("%w: -dim must be at least 1, got %d", errFlagDomain, *dim)
+	}
 	k, _, err := kernelFromFlags(*seed, *size)
 	if err != nil {
 		return err
@@ -430,6 +433,12 @@ func cmdRazzer(args []string) error {
 	strat := strategyFlag(fs, "s1", "selection strategy spec (validated against the registry; razzer's reproduction modes draw schedules strategy-free)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *schedules < 1 {
+		return fmt.Errorf("%w: -schedules must be at least 1, got %d", errFlagDomain, *schedules)
+	}
+	if *maxCTIs < 1 {
+		return fmt.Errorf("%w: -maxctis must be at least 1, got %d", errFlagDomain, *maxCTIs)
 	}
 	if strategyListed(*strat) {
 		return nil

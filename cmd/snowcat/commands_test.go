@@ -134,6 +134,37 @@ func TestServingFlagDomains(t *testing.T) {
 	}
 }
 
+// TestCommandFlagDomains pins that razzer and train reject a numeric flag
+// outside its domain with an error naming the flag: razzer with no
+// schedule per candidate or no candidate used to print "Na / Na" or panic
+// on a negative slice bound, and train with a width below 1 panicked
+// building the model. Each row's other arguments keep a run that wrongly
+// accepts the value short.
+func TestCommandFlagDomains(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "pic.gob")
+	rows := []struct {
+		name string
+		cmd  func([]string) error
+		bad  []string
+		run  []string
+	}{
+		{"razzer", cmdRazzer, []string{"-maxctis", "0"}, []string{"-pool", "4", "-schedules", "2"}},
+		{"razzer", cmdRazzer, []string{"-maxctis", "-1"}, []string{"-pool", "4", "-schedules", "2"}},
+		{"razzer", cmdRazzer, []string{"-schedules", "0"}, []string{"-pool", "4", "-maxctis", "1"}},
+		{"razzer", cmdRazzer, []string{"-schedules", "-1"}, []string{"-pool", "4", "-maxctis", "1"}},
+		{"train", cmdTrain, []string{"-dim", "0"}, []string{"-ctis", "2", "-interleavings", "2", "-epochs", "1", "-o", out}},
+		{"train", cmdTrain, []string{"-dim", "-3"}, []string{"-ctis", "2", "-interleavings", "2", "-epochs", "1", "-o", out}},
+	}
+	for _, r := range rows {
+		t.Run(r.name+" "+strings.Join(r.bad, " "), func(t *testing.T) {
+			err := r.cmd(append(append([]string{"-seed", "3"}, r.bad...), r.run...))
+			if !errors.Is(err, errFlagDomain) || !strings.Contains(err.Error(), r.bad[0]+" ") {
+				t.Fatalf("%s %v: got %v, want an out-of-range error naming %s", r.name, r.bad, err, r.bad[0])
+			}
+		})
+	}
+}
+
 // Table-driven smoke tests for the campaign/razzer/snowboard subcommands:
 // flag parsing (newFlagSet uses ContinueOnError, so bad flags come back as
 // errors instead of exiting the test binary) and tiny-kernel runs through

@@ -193,9 +193,9 @@ func TestGCNBackwardMatchesReference(t *testing.T) {
 		want := ref.Forward(g, h)
 		got := tensor.New(numNodes, out)
 		got.Randomize(rng) // dirty buffers must not leak into the result
-		agg := tensor.New(layerRel, in)
+		agg := tensor.New(1, tensor.GCNAggLen(layerRel, in))
 		agg.Randomize(rng)
-		l.Infer(g, h, got, agg)
+		l.Infer(g, h, got, agg.Data)
 		check := func(what string, got, want []float64) {
 			t.Helper()
 			sameBits(t, fmt.Sprintf("trial %d (V=%d In=%d Out=%d graph R=%d layer R=%d): %s",

@@ -234,7 +234,7 @@ func TestRelGraphNorm(t *testing.T) {
 // infer runs l.Infer into freshly allocated buffers.
 func infer(l *GCNLayer, g *RelGraph, h *tensor.Matrix) *tensor.Matrix {
 	out := tensor.New(g.NumNodes, l.Out)
-	l.Infer(g, h, out, tensor.New(len(l.WRel), l.In))
+	l.Infer(g, h, out, make([]float64, tensor.GCNAggLen(len(l.WRel), l.In)))
 	return out
 }
 
@@ -465,11 +465,29 @@ func BenchmarkGCNInfer(b *testing.B) {
 // benchInfer times l.Infer on g and h with every buffer allocated before
 // the timer starts.
 func benchInfer(b *testing.B, g *RelGraph, l *GCNLayer, h *tensor.Matrix) {
-	out, agg := tensor.New(g.NumNodes, l.Out), tensor.New(len(l.WRel), l.In)
+	out, agg := tensor.New(g.NumNodes, l.Out), make([]float64, tensor.GCNAggLen(len(l.WRel), l.In))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Infer(g, h, out, agg)
+	}
+}
+
+// BenchmarkHead times one warm Dense.Forward of the PIC model's head:
+// 47 vertices of Dim 16 to one logit each, with half of the activations
+// exact zeros (a ReLU output's share).
+func BenchmarkHead(b *testing.B) {
+	rng := xrand.New(9)
+	head := NewDense("head", 16, 1, rng)
+	x, out := tensor.New(47, 16), tensor.New(47, 1)
+	x.Randomize(rng)
+	for i, v := range x.Data {
+		x.Data[i] = max(v, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		head.Forward(x, out)
 	}
 }
 
@@ -512,7 +530,7 @@ func TestGCNInferMatchesForward(t *testing.T) {
 
 	want := (&refGCN{GCNLayer: l}).Forward(g, h)
 	out := tensor.New(4, 3)
-	agg := tensor.New(2, 3)
+	agg := make([]float64, tensor.GCNAggLen(2, 3))
 	for trial := 0; trial < 2; trial++ { // second trial reuses dirty buffers
 		l.Infer(g, h, out, agg)
 		for i := range want.Data {

@@ -1,6 +1,7 @@
 package pic
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"snowcat/internal/ctgraph"
 	"snowcat/internal/kernel"
 	"snowcat/internal/nn"
+	"snowcat/internal/sim"
 	"snowcat/internal/ski"
 	"snowcat/internal/syz"
 )
@@ -59,19 +61,32 @@ func newCTIFixture(t *testing.T, k *kernel.Kernel, seed uint64, nScheds int) *ct
 	return f
 }
 
+// irqKernel generates the small kernel of seed with two IRQ handlers, so
+// that newCTIFixture appends an IRQ schedule: its graph outgrows the base
+// vertex prefix and takes the full adjacency rebuild, not the splice.
+func irqKernel(seed uint64) *kernel.Kernel {
+	kc := kernel.SmallConfig(seed)
+	kc.NumIRQs = 2
+	return kernel.Generate(kc)
+}
+
 // TestBaseContextBitEqual pins the tentpole invariant: predictions through
 // the per-CTI BaseContext fast path are bit-identical to plain Predict for
 // every schedule, including IRQ schedules whose graphs outgrow the base
-// vertex prefix.
+// vertex prefix. One scratch serves every schedule, so the spliced and the
+// rebuilt adjacency alternate in its buffers.
 func TestBaseContextBitEqual(t *testing.T) {
-	k := kernel.Generate(kernel.SmallConfig(201))
+	k := irqKernel(201)
 	m := New(tinyCfg(202))
 	tc := NewTokenCache(k, m.Vocab)
 	f := newCTIFixture(t, k, 203, 6)
+	if len(f.scheds[len(f.scheds)-1].IRQs) == 0 {
+		t.Fatal("the fixture has no IRQ schedule")
+	}
 	bc := m.NewBaseContext(f.base, tc)
 	s := NewScratch()
 	var dst []float64
-	for i, sched := range f.scheds {
+	for i, sched := range append(f.scheds, f.scheds...) {
 		g := f.base.WithSchedule(sched)
 		want := m.Predict(g, tc)
 		dst = m.PredictInto(dst, g, tc, s, bc)
@@ -182,9 +197,9 @@ func TestTrainStepAllocatesNothing(t *testing.T) {
 }
 
 // TestPredictAllCtxMatches pins the batched context path across worker
-// counts against plain Predict.
+// counts against plain Predict, an IRQ schedule included.
 func TestPredictAllCtxMatches(t *testing.T) {
-	k := kernel.Generate(kernel.SmallConfig(231))
+	k := irqKernel(231)
 	m := New(tinyCfg(232))
 	tc := NewTokenCache(k, m.Vocab)
 	f := newCTIFixture(t, k, 233, 6)
@@ -199,6 +214,107 @@ func TestPredictAllCtxMatches(t *testing.T) {
 		got := m.PredictAllCtx(graphs, tc, workers, bc)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: PredictAllCtx diverged from Predict", workers)
+		}
+	}
+}
+
+// relGraphFields returns what defines an nn.RelGraph: its node count, the
+// edges and norms of every relation, and its CSR index with the relation
+// bits, read by name, the unexported ones through reflect. Empty slices
+// come back nil, so reflect.DeepEqual compares graphs built in fresh and
+// in reused buffers alike.
+func relGraphFields(g *nn.RelGraph) []any {
+	v := reflect.ValueOf(g).Elem()
+	ints := func(name string) []int64 {
+		f := v.FieldByName(name)
+		var out []int64
+		for i := 0; i < f.Len(); i++ {
+			out = append(out, f.Index(i).Int())
+		}
+		return out
+	}
+	var rels []uint64
+	for f, i := v.FieldByName("rels"), 0; i < f.Len(); i++ {
+		rels = append(rels, f.Index(i).Uint())
+	}
+	fields := []any{g.NumNodes, ints("off"), ints("src"), rels}
+	for r := range g.Rel {
+		var edges []nn.EdgePair
+		var norm []float64
+		edges = append(edges, g.Rel[r]...)
+		norm = append(norm, g.Norm[r]...)
+		fields = append(fields, edges, norm)
+	}
+	return fields
+}
+
+// hintSchedules returns hint-only schedules of f's CTI that the sampler
+// rarely draws: two hints yielding to one block, a repeated hint pair
+// (WithSchedule drops the duplicate edge), a hint yielding to its own
+// block (a self loop), and hints at a block outside the graph, whose edges
+// cannot be resolved, plus the empty schedule.
+func hintSchedules(t *testing.T, k *kernel.Kernel, f *ctiFixture) []ski.Schedule {
+	t.Helper()
+	ta, tb := f.pa.InstrTrace, f.pb.InstrTrace
+	a := ski.Hint{Thread: 0, Ref: ta[len(ta)/3]}
+	a2 := ski.Hint{Thread: 0, Ref: ta[len(ta)/3]}
+	a2.Ref.Idx++ // the same block, another instruction
+	b := ski.Hint{Thread: 1, Ref: tb[len(tb)/2]}
+	c := ski.Hint{Thread: 0, Ref: ta[2*len(ta)/3]}
+	g := f.base.WithSchedule(ski.Schedule{})
+	x := ski.Hint{Thread: 1, Ref: b.Ref}
+	for blk := int32(0); blk < int32(k.NumBlocks()); blk++ {
+		if g.VertexOf(blk) < 0 {
+			x.Ref = sim.InstrRef{Block: blk}
+			break
+		}
+	}
+	if g.VertexOf(x.Ref.Block) >= 0 {
+		t.Fatal("every kernel block is a vertex: no unresolvable hint")
+	}
+	return []ski.Schedule{
+		{},
+		{Hints: []ski.Hint{a, b, a, c}},
+		{Hints: []ski.Hint{a, b, a, b, a, b}},
+		{Hints: []ski.Hint{a, a2, b}},
+		{Hints: []ski.Hint{x, a}},
+		{Hints: []ski.Hint{a, x, b, x}},
+	}
+}
+
+// TestSpliceMatchesRebuild pins the adjacency splice behind BaseContext:
+// for the hint-only schedules of several CTIs, sampled ones and
+// hintSchedules', the RelGraph spliced onto the context's adjacency equals
+// relGraphInto's full rebuild in every field. One scratch graph serves
+// every step, and after each splice a Reset and the full rebuild of
+// another graph in its buffers must leave the context's adjacency as it
+// was built.
+func TestSpliceMatchesRebuild(t *testing.T) {
+	k := kernel.Generate(kernel.SmallConfig(251))
+	m := New(tinyCfg(252))
+	tc := NewTokenCache(k, m.Vocab)
+	var rg *nn.RelGraph
+	for seed := uint64(253); seed < 258; seed++ {
+		f := newCTIFixture(t, k, seed, 8)
+		bc := m.NewBaseContext(f.base, tc)
+		built := relGraphFields(bc.rg)
+		scheds := append(hintSchedules(t, k, f), f.scheds...)
+		hints := 0
+		for i, sched := range scheds {
+			g := f.base.WithSchedule(sched)
+			hints += g.EdgeCount(ctgraph.Hint)
+			what := fmt.Sprintf("CTI %d schedule %d", seed, i)
+			rg = relGraphInto(rg, g, bc.rg)
+			if got, want := relGraphFields(rg), relGraphFields(relGraphInto(nil, g, nil)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the spliced adjacency differs from the rebuilt one:\n got %v\nwant %v", what, got, want)
+			}
+			rg = relGraphInto(rg, f.base.WithSchedule(scheds[(i+1)%len(scheds)]), nil)
+			if !reflect.DeepEqual(relGraphFields(bc.rg), built) {
+				t.Fatalf("%s: a rebuild after the splice changed the context's adjacency", what)
+			}
+		}
+		if hints == 0 {
+			t.Fatalf("CTI %d: no schedule has a hint edge", seed)
 		}
 	}
 }

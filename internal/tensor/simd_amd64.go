@@ -27,8 +27,9 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 // The kernels below are implemented in simd_amd64.s. Each handles only the
-// full 4-element blocks of its rows; the wrappers in tensor.go check every
-// slice length first and finish the 1-3 element tail in Go.
+// full 4-element blocks of its rows (mulAddColAVX2: its full groups of 4
+// rows); the wrappers in tensor.go check every slice length first and
+// finish the 1-3 element tail in Go.
 
 //go:noescape
 func mulAddRowAVX2(drow, arow, bd []float64, p int)
@@ -45,8 +46,14 @@ func mulATBRowAVX2(dst, a, b []float64, c int)
 //go:noescape
 func mulABTRowAVX2(drow, arow, bt []float64, p int)
 
+// mulAddColAVX2 computes dst[i] += a_i·b for the len(dst) rows (a multiple
+// of 4) of a, whose rows are len(b) long: mulAddCol's groups of 4.
+//
+//go:noescape
+func mulAddColAVX2(dst, a, b []float64)
+
 // gcnLayerAVX2 computes the first len(b) columns (a multiple of 4) of every
 // row of the layer GCNLayerInto describes, for n destinations.
 //
 //go:noescape
-func gcnLayerAVX2(out, h, wself, b []float64, wrel []*Matrix, off, src []int32, norm [][]float64, n, numRel, in, p int, agg []float64)
+func gcnLayerAVX2(out, h, wself, b []float64, wrel []*Matrix, off, src []int32, rels []uint64, norm [][]float64, n, numRel, in, p int, agg []float64)

@@ -36,8 +36,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 
 // NEXTK takes the lowest set bit i of the kept-coefficient mask in AX:
 // it broadcasts arow[i] into Y4 and leaves the byte offset i·stride of
-// row i of B in R13.
+// row i of B in R13. BSF leaves its destination unchanged when the source
+// is zero, so the CPU reads R13 as an input; zeroing it first keeps each
+// coefficient's BSFQ from waiting on the previous coefficient's IMULQ.
 #define NEXTK \
+	XORL R13, R13;                 \
 	BSFQ AX, R13;                  \
 	VBROADCASTSD (SI)(R13*8), Y4;  \
 	IMULQ R8, R13
@@ -564,6 +567,107 @@ tdone:
 	VZEROUPPER
 	RET
 
+// COLK adds one coefficient column to the four row chains in Y0: coef
+// holds a[i+j][k] in lane j and boff(DX)(AX*1) is b[k]. A lane whose
+// coefficient is ±0 (VCMPPD's equal-ordered predicate, the scalar aik == 0
+// test) adds −0 instead of the product. −0 is the identity of the add for
+// every accumulator but a signalling NaN, which an add quiets: a later
+// kept coefficient's add quiets it in the scalar chain too, and a lane
+// with none takes its destination back at the store. Y13 keeps, per lane,
+// whether every coefficient so far was ±0.
+#define COLK(coef, boff) \
+	VBROADCASTSD boff(DX)(AX*1), Y9; \
+	VCMPPD    $0, Y15, coef, Y10;    \
+	VMULPD    Y9, coef, Y11;         \
+	VBLENDVPD Y10, Y14, Y11, Y11;    \
+	VADDPD    Y11, Y0, Y0;           \
+	VANDPD    Y10, Y13, Y13
+
+// func mulAddColAVX2(dst, a, b []float64)
+//
+// dst[i] += a_i·b for the len(dst) rows (a multiple of 4) of a, whose rows
+// are K = len(b) long: the one-column MulAddInto of the prediction heads.
+// Each group of 4 rows keeps lane j on row i+j's chain, from its
+// destination value through every coefficient in ascending k, the
+// accumulator the first operand of every add. The coefficients are read 4
+// rows by 4 columns at a time and transposed, so that each register holds
+// one column; the K mod 4 columns past them are read one row at a time. A
+// lane whose coefficients were all ±0 stores its destination value back,
+// as the scalar skip leaves it, a signalling NaN included.
+TEXT ·mulAddColAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), BX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ b_len+56(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8 // row stride of a in bytes
+	VXORPD Y15, Y15, Y15
+	MOVQ $1, AX
+	SHLQ $63, AX
+	VMOVQ AX, X14
+	VBROADCASTSD X14, Y14 // −0 in every lane
+
+cgroup:
+	CMPQ BX, $4
+	JL   cdone
+	VMOVUPD (DI), Y0
+	VCMPPD $0, Y15, Y15, Y13 // all lanes: no coefficient kept yet
+	MOVQ SI, R9
+	LEAQ (SI)(R8*1), R10
+	LEAQ (SI)(R8*2), R11
+	LEAQ (R10)(R8*2), R12
+	XORQ AX, AX // byte offset of column k
+	MOVQ CX, R13
+
+ck4:
+	CMPQ R13, $4
+	JL   ck1
+	VMOVUPD (R9)(AX*1), Y1
+	VMOVUPD (R10)(AX*1), Y2
+	VMOVUPD (R11)(AX*1), Y3
+	VMOVUPD (R12)(AX*1), Y4
+	VUNPCKLPD Y2, Y1, Y5 // rows 0,1 of columns k, k+2
+	VUNPCKHPD Y2, Y1, Y6 // rows 0,1 of columns k+1, k+3
+	VUNPCKLPD Y4, Y3, Y7 // rows 2,3 of columns k, k+2
+	VUNPCKHPD Y4, Y3, Y8 // rows 2,3 of columns k+1, k+3
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x20, Y8, Y6, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VPERM2F128 $0x31, Y8, Y6, Y4
+	COLK(Y1, 0)
+	COLK(Y2, 8)
+	COLK(Y3, 16)
+	COLK(Y4, 24)
+	ADDQ $32, AX
+	SUBQ $4, R13
+	JMP  ck4
+
+ck1:
+	TESTQ R13, R13
+	JZ    cstore
+	VMOVSD  (R9)(AX*1), X1
+	VMOVHPD (R10)(AX*1), X1, X1
+	VMOVSD  (R11)(AX*1), X2
+	VMOVHPD (R12)(AX*1), X2, X2
+	VINSERTF128 $1, X2, Y1, Y1
+	COLK(Y1, 0)
+	ADDQ $8, AX
+	DECQ R13
+	JMP  ck1
+
+cstore:
+	VBLENDVPD Y13, (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	LEAQ (SI)(R8*4), SI
+	SUBQ $4, BX
+	JMP  cgroup
+
+cdone:
+	VZEROUPPER
+	RET
+
 // RELU replaces every lane of acc with max(acc, 0) as Go's max lowers it on
 // amd64: negate, take MINPD against −0 and then against the negated value,
 // OR the two, negate. Y14 holds −0 in every lane: the sign mask, and the
@@ -576,71 +680,128 @@ tdone:
 	VORPD  t1, t2, acc;   \
 	VXORPD Y14, acc, acc
 
-// func gcnLayerAVX2(out, h, wself, b []float64, wrel []*Matrix, off, src []int32, norm [][]float64, n, numRel, in, p int, agg []float64)
+// GMASK ORs the kept-coefficient bits in AX of the gathered block that
+// starts BX columns before the end of the row, whose length is in CX, into
+// its mask word at DI: the block's first column is CX − BX, its word
+// (CX − BX)/64, and SHLQ takes its shift count mod 64. Blocks start at
+// multiples of their width, so none straddles two words.
+#define GMASK \
+	SUBQ BX, CX; \
+	SHLQ CX, AX; \
+	SHRQ $6, CX; \
+	ORQ  AX, (DI)(CX*8)
+
+// func gcnLayerAVX2(out, h, wself, b []float64, wrel []*Matrix, off, src []int32, rels []uint64, norm [][]float64, n, numRel, in, p int, agg []float64)
 //
 // The layer GCNLayerInto describes over the first len(b) columns (a
 // multiple of 4) of the n rows of out, whose row stride is p, as are the
-// weights'. For each destination d it first gathers every relation r
-// with sources at d into row r of agg, with gatherScaledAVX2's chain and
-// α = norm[r][d]. Then, per
-// column block of 16, 8 or 4, it keeps the block of out_d in Y0-Y3 from +0
-// through the self term h_d·wself, the bias, each relation's agg_r·W_r in
-// ascending r, and the ReLU, and stores it once. Each product term is
-// mulAddRowAVX2's: kept-coefficient masks over chunks of up to 64
-// coefficients, one VMULPD and one VADDPD per kept coefficient with the
-// accumulator as the first operand of the add.
+// weights'. For each destination d it walks the set bits of rels[d],
+// masked to the first len(wrel) relations, lowest first: ascending r, the
+// relations with sources at d. It first gathers each such relation r into
+// row r of agg, with gatherScaledAVX2's chain and α = norm[r][d], and
+// records the row's kept-coefficient mask words (bit k of word c set when
+// coefficient 64c+k is neither +0 nor −0) from the registers it stores,
+// in agg past the len(wrel) rows. Then, per column block of 16, 8 or 4, it
+// keeps the block of out_d in Y0-Y3 from +0 through the self term
+// h_d·wself, the bias, each relation's agg_r·W_r in ascending r, and the
+// ReLU, and stores it once. Each product term is mulAddRowAVX2's: masks
+// over chunks of up to 64 coefficients (built from h_d for the self term,
+// loaded for a relation), one VMULPD and one VADDPD per kept coefficient
+// with the accumulator as the first operand of the add.
 //
 // Locals: the destination d, the addresses of row d of h and of d's run of
-// off, and the byte offset of the column block.
-TEXT ·gcnLayerAVX2(SB), NOSPLIT, $32-248
-	MOVQ p+216(FP), R8
+// off, the byte offset of the column block, d's relation bits, the address
+// of agg's mask words and their bytes per relation, the mask of the first
+// len(wrel) relations, and the address of a relation term's next mask
+// word.
+TEXT ·gcnLayerAVX2(SB), NOSPLIT, $72-272
+	MOVQ p+240(FP), R8
 	SHLQ $3, R8 // row stride of the weights and of out in bytes
 	VXORPD Y15, Y15, Y15
 	MOVQ $1, AX
 	SHLQ $63, AX
 	VMOVQ AX, X14
 	VBROADCASTSD X14, Y14 // −0 in every lane
+	MOVQ wrel_len+104(FP), CX
+	MOVQ $-1, AX
+	CMPQ CX, $64
+	JGE  relmask
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+
+relmask:
+	MOVQ AX, relmask-64(SP)
+	MOVQ in+232(FP), AX
+	ADDQ $63, AX
+	SHRQ $6, AX
+	SHLQ $3, AX
+	MOVQ AX, mstride-56(SP)
+	MOVQ in+232(FP), AX
+	IMULQ CX, AX
+	SHLQ $3, AX
+	ADDQ agg_base+248(FP), AX
+	MOVQ AX, masks-48(SP)
 	MOVQ $0, d-8(SP)
 
 node:
 	MOVQ d-8(SP), AX
-	CMPQ AX, n+192(FP)
+	CMPQ AX, n+216(FP)
 	JGE  ldone
-	MOVQ in+208(FP), BX
+	MOVQ in+232(FP), BX
 	IMULQ AX, BX
 	SHLQ $3, BX
 	ADDQ h_base+24(FP), BX
 	MOVQ BX, hrow-16(SP)
-	MOVQ numRel+200(FP), BX
+	MOVQ numRel+224(FP), BX
 	IMULQ AX, BX
 	SHLQ $2, BX
 	ADDQ off_base+120(FP), BX
 	MOVQ BX, offrow-24(SP)
-
-	// Gather each relation with sources at d into row R9 of agg (DI).
-	XORQ R9, R9
-	MOVQ agg_base+224(FP), DI
+	MOVQ rels_base+168(FP), BX
+	MOVQ (BX)(AX*8), R14
+	ANDQ relmask-64(SP), R14
+	MOVQ R14, bits-40(SP)
 
 grel:
-	CMPQ R9, wrel_len+104(FP)
-	JGE  columns
-	MOVQ offrow-24(SP), AX
+	// Gather relation R9, the lowest bit left in R14, into row R12 of agg
+	// and its mask words at DI. R9 then counts the sources at SI.
+	TESTQ R14, R14
+	JZ    columns
+	BSFQ  R14, R9
+	LEAQ  -1(R14), AX
+	ANDQ  AX, R14
+	MOVQ  offrow-24(SP), AX
 	MOVLQSX (AX)(R9*4), R11
 	MOVLQSX 4(AX)(R9*4), CX
-	SUBQ R11, CX // source count
-	JZ   gnext
-	LEAQ (R9)(R9*2), AX
-	MOVQ norm_base+168(FP), R10
-	MOVQ (R10)(AX*8), R10 // norm[r]
-	MOVQ d-8(SP), AX
+	SUBQ  R11, CX // source count
+	LEAQ  (R9)(R9*2), AX
+	MOVQ  norm_base+192(FP), R10
+	MOVQ  (R10)(AX*8), R10 // norm[r]
+	MOVQ  d-8(SP), AX
 	VBROADCASTSD (R10)(AX*8), Y4 // α = norm[r][d]
-	MOVQ src_base+144(FP), SI
-	LEAQ (SI)(R11*4), SI
-	MOVQ h_base+24(FP), DX
-	MOVQ in+208(FP), BX // columns left
-	MOVQ BX, R13
-	SHLQ $3, R13        // row stride of h in bytes
-	MOVQ DI, R12
+	MOVQ  mstride-56(SP), DI
+	IMULQ R9, DI
+	ADDQ  masks-48(SP), DI
+	MOVQ  in+232(FP), R12
+	IMULQ R9, R12
+	SHLQ  $3, R12
+	ADDQ  agg_base+248(FP), R12
+	MOVQ  CX, R9
+	MOVQ  src_base+144(FP), SI
+	LEAQ  (SI)(R11*4), SI
+	MOVQ  h_base+24(FP), DX
+	MOVQ  in+232(FP), BX // columns left
+	MOVQ  BX, R13
+	SHLQ  $3, R13        // row stride of h in bytes
+	MOVQ  mstride-56(SP), AX
+
+gzero:
+	TESTQ AX, AX
+	JZ    gc16
+	SUBQ  $8, AX
+	MOVQ  $0, (DI)(AX*1)
+	JMP   gzero
 
 gc16:
 	CMPQ BX, $16
@@ -652,7 +813,7 @@ gc16:
 	XORQ R11, R11
 
 gl16:
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JGE  gs16
 	MOVLQSX (SI)(R11*4), R10
 	IMULQ R13, R10
@@ -673,6 +834,22 @@ gs16:
 	VMOVUPD Y1, 32(R12)
 	VMOVUPD Y2, 64(R12)
 	VMOVUPD Y3, 96(R12)
+	VCMPPD    $4, Y15, Y0, Y6
+	VMOVMSKPD Y6, AX
+	VCMPPD    $4, Y15, Y1, Y7
+	VMOVMSKPD Y7, R10
+	SHLQ $4, R10
+	ORQ  R10, AX
+	VCMPPD    $4, Y15, Y2, Y6
+	VMOVMSKPD Y6, R10
+	SHLQ $8, R10
+	ORQ  R10, AX
+	VCMPPD    $4, Y15, Y3, Y7
+	VMOVMSKPD Y7, R10
+	SHLQ $12, R10
+	ORQ  R10, AX
+	MOVQ in+232(FP), CX
+	GMASK
 	ADDQ $128, R12
 	ADDQ $128, DX
 	SUBQ $16, BX
@@ -686,7 +863,7 @@ gc8:
 	XORQ R11, R11
 
 gl8:
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JGE  gs8
 	MOVLQSX (SI)(R11*4), R10
 	IMULQ R13, R10
@@ -701,6 +878,14 @@ gl8:
 gs8:
 	VMOVUPD Y0, 0(R12)
 	VMOVUPD Y1, 32(R12)
+	VCMPPD    $4, Y15, Y0, Y6
+	VMOVMSKPD Y6, AX
+	VCMPPD    $4, Y15, Y1, Y7
+	VMOVMSKPD Y7, R10
+	SHLQ $4, R10
+	ORQ  R10, AX
+	MOVQ in+232(FP), CX
+	GMASK
 	ADDQ $64, R12
 	ADDQ $64, DX
 	SUBQ $8, BX
@@ -712,7 +897,7 @@ gc4:
 	XORQ R11, R11
 
 gl4:
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JGE  gs4
 	MOVLQSX (SI)(R11*4), R10
 	IMULQ R13, R10
@@ -724,6 +909,10 @@ gl4:
 
 gs4:
 	VMOVUPD Y0, 0(R12)
+	VCMPPD    $4, Y15, Y0, Y6
+	VMOVMSKPD Y6, AX
+	MOVQ in+232(FP), CX
+	GMASK
 	ADDQ $32, R12
 	ADDQ $32, DX
 	SUBQ $4, BX
@@ -731,12 +920,12 @@ gs4:
 gc1:
 	// The 1-3 columns past the last block, one scalar chain each.
 	TESTQ BX, BX
-	JZ    gnext
+	JZ    grel
 	VXORPD X0, X0, X0
 	XORQ R11, R11
 
 gl1:
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JGE  gs1
 	MOVLQSX (SI)(R11*4), R10
 	IMULQ R13, R10
@@ -748,17 +937,15 @@ gl1:
 
 gs1:
 	VMOVSD X0, (R12)
+	VCMPSD    $4, X15, X0, X6
+	VMOVMSKPD X6, AX
+	ANDQ $1, AX
+	MOVQ in+232(FP), CX
+	GMASK
 	ADDQ $8, R12
 	ADDQ $8, DX
 	DECQ BX
 	JMP  gc1
-
-gnext:
-	MOVQ in+208(FP), AX
-	SHLQ $3, AX
-	ADDQ AX, DI
-	INCQ R9
-	JMP  grel
 
 columns:
 	MOVQ $0, col-32(SP)
@@ -793,6 +980,7 @@ bwset:
 	MOVQ hrow-16(SP), SI
 	MOVQ wself_base+48(FP), DX
 	ADDQ col-32(SP), DX
+	MOVQ bits-40(SP), DI // the relation terms left
 	JMP  term
 
 termdone:
@@ -813,22 +1001,24 @@ bias4:
 	VADDPD 0(AX), Y0, Y0
 
 rnext:
-	INCQ R9
-	CMPQ R9, wrel_len+104(FP)
-	JGE  store
-	MOVQ offrow-24(SP), AX
-	MOVL (AX)(R9*4), CX
-	CMPL CX, 4(AX)(R9*4)
-	JEQ  rnext
-	MOVQ in+208(FP), SI
+	TESTQ DI, DI
+	JZ    store
+	BSFQ  DI, R9
+	LEAQ  -1(DI), AX
+	ANDQ  AX, DI
+	MOVQ  in+232(FP), SI
 	IMULQ R9, SI
-	SHLQ $3, SI
-	ADDQ agg_base+224(FP), SI
-	MOVQ wrel_base+96(FP), DX
-	MOVQ (DX)(R9*8), DX
-	MOVQ Matrix_Data(DX), DX
-	ADDQ col-32(SP), DX
-	JMP  term
+	SHLQ  $3, SI
+	ADDQ  agg_base+248(FP), SI
+	MOVQ  mstride-56(SP), AX
+	IMULQ R9, AX
+	ADDQ  masks-48(SP), AX
+	MOVQ  AX, mnext-72(SP)
+	MOVQ  wrel_base+96(FP), DX
+	MOVQ  (DX)(R9*8), DX
+	MOVQ  Matrix_Data(DX), DX
+	ADDQ  col-32(SP), DX
+	JMP   term
 
 store:
 	MOVQ d-8(SP), DI
@@ -860,7 +1050,7 @@ nodedone:
 
 term:
 	// Y0-Y3 += row SI (in coefficients) · the rows at DX, BX columns wide.
-	MOVQ in+208(FP), CX
+	MOVQ in+232(FP), CX
 
 tchunk:
 	TESTQ CX, CX
@@ -869,6 +1059,14 @@ tchunk:
 	CMPQ  CX, R11
 	CMOVQLT CX, R11
 	SUBQ  R11, CX
+	TESTQ R9, R9
+	JS    tself
+	MOVQ  mnext-72(SP), AX
+	MOVQ  (AX), R12
+	ADDQ  $8, mnext-72(SP)
+	JMP   tkeep
+
+tself:
 	XORQ  R12, R12
 	MOVQ  R11, R13
 

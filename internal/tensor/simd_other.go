@@ -19,6 +19,8 @@ func mulATBRowAVX2(dst, a, b []float64, c int) { panic("tensor: no AVX2 kernels 
 
 func mulABTRowAVX2(drow, arow, bt []float64, p int) { panic("tensor: no AVX2 kernels in this build") }
 
-func gcnLayerAVX2(out, h, wself, b []float64, wrel []*Matrix, off, src []int32, norm [][]float64, n, numRel, in, p int, agg []float64) {
+func mulAddColAVX2(dst, a, b []float64) { panic("tensor: no AVX2 kernels in this build") }
+
+func gcnLayerAVX2(out, h, wself, b []float64, wrel []*Matrix, off, src []int32, rels []uint64, norm [][]float64, n, numRel, in, p int, agg []float64) {
 	panic("tensor: no AVX2 kernels in this build")
 }
